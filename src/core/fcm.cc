@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 namespace vp::core {
 
@@ -64,71 +65,201 @@ FcmFollowers::best() const
     return best;
 }
 
-std::span<const uint64_t>
-FcmPredictor::contextKey(const PcState &state, int j)
+namespace {
+
+/** MurmurHash3's 64-bit finaliser of a value, or of a context key. */
+template <typename Key>
+size_t
+hashOf(const Key &key)
 {
-    // Precondition: j <= state.history.size(), guaranteed by callers.
-    return std::span<const uint64_t>(state.history)
-            .last(static_cast<size_t>(j));
+    uint64_t x;
+    if constexpr (std::is_integral_v<Key>)
+        x = key;
+    else
+        x = key.value ^ (uint64_t{key.parent} * 0x9e3779b97f4a7c15ull);
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdull;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ull;
+    x ^= x >> 33;
+    return static_cast<size_t>(x);
+}
+
+} // namespace
+
+template <typename Slot>
+const Slot *
+FcmPredictor::FlatTable<Slot>::find(Key key) const
+{
+    if (slots_.empty())
+        return nullptr;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hashOf(key) & mask;; i = (i + 1) & mask) {
+        const Slot &slot = slots_[i];
+        if (slot.empty())
+            return nullptr;
+        if (slot.key() == key)
+            return &slot;
+    }
+}
+
+template <typename Slot>
+Slot &
+FcmPredictor::FlatTable<Slot>::claim(Key key)
+{
+    // Growing before the probe may grow a table the key is already
+    // in, at most once per doubling.
+    if ((size_t{size_} + 1) * 4 > slots_.size() * 3)
+        grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hashOf(key) & mask;; i = (i + 1) & mask) {
+        Slot &slot = slots_[i];
+        if (slot.empty()) {
+            ++size_;
+            return slot;
+        }
+        if (slot.key() == key)
+            return slot;
+    }
+}
+
+template <typename Slot>
+void
+FcmPredictor::FlatTable<Slot>::grow()
+{
+    std::vector<Slot> old(std::max<size_t>(4, slots_.size() * 2));
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Slot &slot : old) {
+        if (slot.empty())
+            continue;
+        size_t i = hashOf(slot.key()) & mask;
+        while (!slots_[i].empty())
+            i = (i + 1) & mask;
+        slots_[i] = slot;
+    }
+}
+
+uint32_t
+FcmPredictor::child(uint32_t parent, uint64_t value)
+{
+    ContextSlot &slot = trieIndex_.claim({value, parent});
+    if (slot.empty()) {
+        if (trie_.size() >= kNone)
+            throw std::length_error("fcm: context ids exhausted");
+        slot = ContextSlot{value, parent,
+                           static_cast<uint32_t>(trie_.size())};
+        trie_.push_back(Context{0, 0, 0, kNone});
+    }
+    return slot.id;
 }
 
 int
-FcmPredictor::longestMatch(const PcState &state,
-                           const FcmFollowers **followers) const
+FcmPredictor::longestMatch(const uint32_t *ids, int filled) const
 {
-    const int max_order = std::min<int>(
-            config_.order, static_cast<int>(state.history.size()));
-    const int min_order =
+    const int lowest =
             config_.blending == FcmBlending::None ? config_.order : 0;
-
-    for (int j = max_order; j >= min_order; --j) {
-        if (j >= static_cast<int>(state.tables.size()))
-            continue;
-        const auto &table = state.tables[j];
-        auto it = table.find(contextKey(state, j));
-        if (it != table.end() && !it->second.cells.empty()) {
-            if (followers != nullptr)
-                *followers = &it->second;
+    for (int j = filled; j >= lowest; --j) {
+        if (trie_[ids[j]].count != 0)
             return j;
-        }
     }
     return -1;
+}
+
+void
+FcmPredictor::bump(uint32_t id, uint64_t value)
+{
+    Context &context = trie_[id];
+    const uint32_t ceiling = config_.counterMax;
+    if (context.count == 0) {
+        context = Context{value, seq_, 1, kNone};
+        ++contexts_;
+        return;
+    }
+    if (context.list == kNone && context.value == value) {
+        context.seq = seq_;
+        // A lone follower's halving (see FcmFollowers::bump) keeps it.
+        if (++context.count > ceiling && ceiling != 0)
+            context.count /= 2;
+        return;
+    }
+    if (context.list == kNone) {
+        // A second follower value: both move to a list.
+        context.list = static_cast<uint32_t>(lists_.size());
+        lists_.emplace_back().claim(context.value) =
+                Follower{context.value, context.seq, context.count};
+    }
+    Follower &follower = lists_[context.list].claim(value);
+    follower.value = value;
+    follower.seq = seq_;
+    if (++follower.count > ceiling && ceiling != 0) {
+        halve(context);
+    } else if (follower.count >= context.count) {
+        // The bumped follower has the newest stamp, so a tie goes to
+        // it.
+        context.value = value;
+        context.count = follower.count;
+    }
+}
+
+void
+FcmPredictor::halve(Context &context)
+{
+    // As FcmFollowers::bump does: halve every count and drop the
+    // zeros (the bumped follower, past the ceiling, survives). Then
+    // rescan for the best and rebuild the smaller table.
+    std::vector<Follower> kept;
+    lists_[context.list].forEach([&](Follower follower) {
+        follower.count /= 2;
+        if (follower.count != 0)
+            kept.push_back(follower);
+    });
+    FollowerList list;
+    const Follower *best = &kept.front();
+    for (const Follower &follower : kept) {
+        list.claim(follower.value) = follower;
+        if (follower.count > best->count ||
+            (follower.count == best->count && follower.seq > best->seq))
+            best = &follower;
+    }
+    lists_[context.list] = std::move(list);
+    context.value = best->value;
+    context.count = best->count;
 }
 
 Prediction
 FcmPredictor::predict(uint64_t pc) const
 {
-    auto it = table_.find(pc);
-    if (it == table_.end())
+    const PcSlot *slot = pcs_.find(pc);
+    if (slot == nullptr)
         return Prediction::none();
-    const PcState &state = it->second;
-
-    if (config_.blending == FcmBlending::None &&
-        static_cast<int>(state.history.size()) < config_.order) {
-        return Prediction::none();
-    }
-
-    const int match = longestMatch(state);
+    const uint32_t *ids = row(slot->row);
+    const int match = longestMatch(ids, static_cast<int>(slot->filled));
     if (match < 0)
         return Prediction::none();
-
-    const auto it2 = state.tables[match].find(contextKey(state, match));
-    const auto *best = it2->second.best();
-    if (best == nullptr)
-        return Prediction::none();
-    return Prediction::of(best->value);
+    return Prediction::of(trie_[ids[match]].value);
 }
 
-void
-FcmPredictor::update(uint64_t pc, uint64_t actual)
+Prediction
+FcmPredictor::train(uint64_t pc, uint64_t actual)
 {
-    PcState &state = table_[pc];
-    if (state.tables.empty())
-        state.tables.resize(config_.order + 1);
+    PcSlot &slot = pcs_.claim(pc);
+    if (slot.empty()) {
+        slot = PcSlot{pc, static_cast<uint32_t>(ids_.size() / stride()), 0};
+        ids_.resize(ids_.size() + stride(), kNone);
+        row(slot.row)[0] = child(kNone, pc);
+    }
+    // Stable below: bump() and child() grow lists_ and trie_ only.
+    uint32_t *const ids = row(slot.row);
+    const int filled = static_cast<int>(slot.filled);
+    const int match = longestMatch(ids, filled);
+    const Prediction made = match < 0
+                                    ? Prediction::none()
+                                    : Prediction::of(trie_[ids[match]].value);
 
-    // Determine which orders to train. Lazy exclusion trains the
-    // matched order and everything above it; full blending (and the
-    // no-blending configuration) trains all orders it uses.
+    // Lazy exclusion trains the matched order and everything above
+    // it; full blending (and the no-blending configuration) trains
+    // all orders it uses.
     int lowest = 0;
     switch (config_.blending) {
       case FcmBlending::None:
@@ -137,32 +268,28 @@ FcmPredictor::update(uint64_t pc, uint64_t actual)
       case FcmBlending::Full:
         lowest = 0;
         break;
-      case FcmBlending::LazyExclusion: {
-        const int match = longestMatch(state);
+      case FcmBlending::LazyExclusion:
         lowest = match < 0 ? 0 : match;
         break;
-      }
     }
-
     ++seq_;
-    const int max_order = std::min<int>(
-            config_.order, static_cast<int>(state.history.size()));
-    for (int j = max_order; j >= lowest; --j) {
-        auto &table = state.tables[j];
-        const auto key = contextKey(state, j);
-        auto it = table.find(key);
-        if (it == table.end()) {
-            it = table.emplace(std::vector<uint64_t>(key.begin(),
-                                                     key.end()),
-                               FcmFollowers{}).first;
-        }
-        it->second.bump(actual, seq_, config_.counterMax);
-    }
+    for (int j = filled; j >= lowest; --j)
+        bump(ids[j], actual);
 
-    // Slide the history window.
-    state.history.push_back(actual);
-    if (static_cast<int>(state.history.size()) > config_.order)
-        state.history.erase(state.history.begin());
+    // Slide the window: the next order-j context extends this
+    // event's order-(j-1) one by @p actual. Descending, so each
+    // parent is read before it is overwritten.
+    const int next = std::min(filled + 1, config_.order);
+    for (int j = next; j >= 1; --j)
+        ids[j] = child(ids[j - 1], actual);
+    slot.filled = static_cast<uint32_t>(next);
+    return made;
+}
+
+void
+FcmPredictor::update(uint64_t pc, uint64_t actual)
+{
+    train(pc, actual);
 }
 
 void
@@ -170,59 +297,12 @@ FcmPredictor::trainBatch(const uint64_t *pcs, const uint64_t *values,
                          size_t n, uint64_t *valid, uint64_t *correct)
 {
     for (size_t i = 0; i < n; ++i) {
-        auto [pit, inserted] = table_.try_emplace(pcs[i]);
-        PcState &state = pit->second;
-        if (state.tables.empty())
-            state.tables.resize(config_.order + 1);
-
-        // A single context scan serves both the prediction and the
-        // lazy-exclusion training floor: nothing mutates this PC's
-        // state between the scalar predict() and update() scans, so
-        // they always agree. On a fresh PC the scan trivially misses,
-        // matching the scalar predict() table miss.
-        const FcmFollowers *followers = nullptr;
-        const int match = longestMatch(state, &followers);
-
-        if (!inserted && match >= 0) {
-            const auto *best = followers->best();
-            if (best != nullptr) {
-                bits::set(valid, i);
-                if (best->value == values[i])
-                    bits::set(correct, i);
-            }
+        const Prediction made = train(pcs[i], values[i]);
+        if (made.valid) {
+            bits::set(valid, i);
+            if (made.value == values[i])
+                bits::set(correct, i);
         }
-
-        int lowest = 0;
-        switch (config_.blending) {
-          case FcmBlending::None:
-            lowest = config_.order;
-            break;
-          case FcmBlending::Full:
-            lowest = 0;
-            break;
-          case FcmBlending::LazyExclusion:
-            lowest = match < 0 ? 0 : match;
-            break;
-        }
-
-        ++seq_;
-        const int max_order = std::min<int>(
-                config_.order, static_cast<int>(state.history.size()));
-        for (int j = max_order; j >= lowest; --j) {
-            auto &table = state.tables[j];
-            const auto key = contextKey(state, j);
-            auto it = table.find(key);
-            if (it == table.end()) {
-                it = table.emplace(std::vector<uint64_t>(key.begin(),
-                                                         key.end()),
-                                   FcmFollowers{}).first;
-            }
-            it->second.bump(values[i], seq_, config_.counterMax);
-        }
-
-        state.history.push_back(values[i]);
-        if (static_cast<int>(state.history.size()) > config_.order)
-            state.history.erase(state.history.begin());
     }
 }
 
@@ -241,19 +321,24 @@ FcmPredictor::name() const
 void
 FcmPredictor::reset()
 {
-    table_.clear();
-    seq_ = 0;
+    *this = FcmPredictor(config_);
 }
 
-size_t
-FcmPredictor::tableEntries() const
+void
+FcmPredictor::collectCounters(CounterSink &sink) const
 {
-    size_t n = 0;
-    for (const auto &[pc, state] : table_) {
-        for (const auto &table : state.tables)
-            n += table.size();
+    uint64_t cells = 0;
+    uint64_t longest = 0;
+    for (const Context &context : trie_) {
+        const uint64_t size = context.list != kNone
+                                      ? lists_[context.list].size()
+                                      : context.count != 0;
+        cells += size;
+        longest = std::max(longest, size);
     }
-    return n;
+    sink.gauge("fcm.contexts", contexts_);
+    sink.gauge("fcm.cells", cells);
+    sink.gauge("fcm.followers.max", longest);
 }
 
 } // namespace vp::core

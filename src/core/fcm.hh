@@ -7,8 +7,7 @@
 #define VP_CORE_FCM_HH
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/predictor.hh"
@@ -56,11 +55,11 @@ struct FcmConfig
 };
 
 /**
- * Follower frequencies for one context.
- *
- * Shared between the unbounded predictor below and the bounded
- * two-level variant so the counting/halving/tie-break behaviour is
- * identical by construction.
+ * Follower frequencies for one context of the bounded two-level
+ * predictor (BoundedFcmPredictor). Counting, halving and tie-breaks
+ * are FcmPredictor's: bounded_equivalence_test pins the two equal at
+ * ample capacity, and fcm_oracle_test pins FcmPredictor to a naive
+ * oracle.
  */
 struct FcmFollowers
 {
@@ -206,7 +205,12 @@ struct FcmFollowers
         uint32_t cap_ = kInline;
     };
 
-    /** Typically 1-2 distinct followers; linear scan is right. */
+    /**
+     * Scanned linearly by bump() and best(). Every bounded spec caps
+     * a list at maxFollowers = 4, which keeps a scan short; unbounded
+     * lists grow with value diversity (to thousands of cells on some
+     * PCs), so FcmPredictor indexes those instead.
+     */
     CellList cells;
 
     /**
@@ -230,15 +234,40 @@ struct FcmFollowers
  * Order-k finite context method predictor.
  *
  * Per static PC the predictor keeps the k most recent values (the
- * context) and, for every order j <= k, an exact table mapping each
- * observed length-j value pattern to the frequency of each value that
- * followed it. Contexts are matched by full concatenation of history
- * values, so there is no aliasing between contexts (Section 3).
+ * context) and, for every order j <= k, the frequency of each value
+ * that followed each observed length-j value pattern. Contexts are
+ * matched exactly, so there is no aliasing between contexts
+ * (Section 3).
  *
  * The predicted value is the one with the maximum count under the
  * longest matching context; ties go to the most recently observed
  * value. Cold entries decline to predict (counted as incorrect by the
  * evaluation harness, consistent with the paper's accounting).
+ *
+ * Layout. The contexts of all PCs form one trie in a flat array. A
+ * context's key is (its parent, its newest value): the parent is the
+ * same PC's context without that newest value, and a PC's order-0
+ * context has the key (kNone, pc). Following the parents back spells
+ * out the PC and every value, so this 12-byte key is exact at any
+ * order. One open-addressing index maps keys to context ids and holds
+ * the keys itself, so a probe reads the slot array only. Each PC
+ * keeps the ids of its current context at every order, so matching
+ * and training read them directly and do no probing. After training,
+ * the next order-j context is the child of this event's order-(j-1)
+ * context by the value just seen. That is one probe per order, which
+ * inserts the context if it is new.
+ *
+ * Followers. A context holds its best follower's value and count, so
+ * a prediction reads the context alone. While it has seen one value,
+ * that follower is all there is; a second value moves the followers
+ * to a FollowerList, a hash table of cells keyed by value. The best
+ * is kept up to date on every bump: between halvings counts only
+ * grow and the bumped cell has the newest stamp, so it becomes the
+ * best iff its count reaches the best's. Only a halving
+ * (counterMax != 0) rescans the cells, and a halving already touches
+ * every cell. So each event costs O(order), however many distinct
+ * followers its contexts have. The scalar predict()/update() pair and
+ * trainBatch() both run on this one structure.
  */
 class FcmPredictor : public ValuePredictor
 {
@@ -249,7 +278,7 @@ class FcmPredictor : public ValuePredictor
     void update(uint64_t pc, uint64_t actual) override;
     std::string name() const override;
     void reset() override;
-    size_t tableEntries() const override;
+    size_t tableEntries() const override { return contexts_; }
 
     void evalBatch(const uint64_t *pcs, const uint64_t *values,
                    size_t n, uint64_t *valid,
@@ -258,109 +287,141 @@ class FcmPredictor : public ValuePredictor
         trainBatch(pcs, values, n, valid, correct);
     }
 
-    /**
-     * Devirtualised batch loop. The separate predict()/update() pair
-     * scans the context tables twice per event (longest match for the
-     * prediction, longest match again for the lazy-exclusion training
-     * floor); here one scan serves both, which is legitimate because
-     * nothing mutates the PC's state between the two scalar calls.
-     */
+    /** Devirtualised batch loop over train(). */
     void trainBatch(const uint64_t *pcs, const uint64_t *values,
                     size_t n, uint64_t *valid, uint64_t *correct);
 
+    /** Gauges `fcm.contexts`, `fcm.cells` and `fcm.followers.max`. */
+    void collectCounters(CounterSink &sink) const override;
+
   private:
-    /**
-     * Hash for a concatenated value context. Transparent so lookups
-     * can use a std::span view of the history without allocating.
-     */
-    struct KeyHash
-    {
-        using is_transparent = void;
+    /** No id: a free slot, or the parent of an order-0 context. */
+    static constexpr uint32_t kNone = UINT32_MAX;
 
-        size_t
-        operator()(std::span<const uint64_t> key) const
+    /**
+     * Open-addressing hash table of Slots: linear probing, a
+     * power-of-two capacity, at most 3/4 full. A Slot names its key
+     * with key(); a value-initialised Slot is free (empty()).
+     */
+    template <typename Slot>
+    class FlatTable
+    {
+      public:
+        using Key = decltype(std::declval<const Slot &>().key());
+
+        /** The slot holding @p key, or nullptr. */
+        const Slot *find(Key key) const;
+
+        /** The slot holding @p key; failing that, the free slot
+         *  where it belongs, now counted in size(), which the caller
+         *  must fill with @p key. */
+        Slot &claim(Key key);
+
+        template <typename Visit>
+        void
+        forEach(Visit visit) const
         {
-            // Mixed FNV-ish hash over whole values.
-            uint64_t hash = 1469598103934665603ull;
-            for (uint64_t v : key) {
-                hash ^= v;
-                hash *= 1099511628211ull;
-                hash ^= hash >> 29;
+            for (const Slot &slot : slots_) {
+                if (!slot.empty())
+                    visit(slot);
             }
-            return static_cast<size_t>(hash);
         }
 
-        size_t
-        operator()(const std::vector<uint64_t> &key) const
-        {
-            return (*this)(std::span<const uint64_t>(key));
-        }
+        uint32_t size() const { return size_; }
+
+      private:
+        void grow();
+
+        std::vector<Slot> slots_;
+        uint32_t size_ = 0;
     };
 
-    /** Transparent equality over exact value concatenations. */
-    struct KeyEqual
+    /** (parent, newest value): a context's exact key. */
+    struct ContextKey
     {
-        using is_transparent = void;
+        uint64_t value;
+        uint32_t parent;
 
-        bool
-        operator()(std::span<const uint64_t> a,
-                   std::span<const uint64_t> b) const
-        {
-            return a.size() == b.size() &&
-                   std::equal(a.begin(), a.end(), b.begin());
-        }
-
-        bool
-        operator()(const std::vector<uint64_t> &a,
-                   std::span<const uint64_t> b) const
-        {
-            return (*this)(std::span<const uint64_t>(a), b);
-        }
-
-        bool
-        operator()(std::span<const uint64_t> a,
-                   const std::vector<uint64_t> &b) const
-        {
-            return (*this)(a, std::span<const uint64_t>(b));
-        }
-
-        bool
-        operator()(const std::vector<uint64_t> &a,
-                   const std::vector<uint64_t> &b) const
-        {
-            return (*this)(std::span<const uint64_t>(a),
-                           std::span<const uint64_t>(b));
-        }
+        bool operator==(const ContextKey &) const = default;
     };
 
-    using ContextTable = std::unordered_map<std::vector<uint64_t>,
-                                            FcmFollowers, KeyHash, KeyEqual>;
-
-    /** All prediction state for one static instruction. */
-    struct PcState
+    /** Maps a context key to the context's id in trie_. */
+    struct ContextSlot
     {
-        /** Most recent values, oldest first, up to `order` of them. */
-        std::vector<uint64_t> history;
+        uint64_t value = 0;
+        uint32_t parent = 0;
+        uint32_t id = kNone;
 
-        /** tables[j]: contexts of length j (j = 0 is a single entry). */
-        std::vector<ContextTable> tables;
+        ContextKey key() const { return {value, parent}; }
+        bool empty() const { return id == kNone; }
     };
 
-    /** View of the length-j context (newest history values). */
-    static std::span<const uint64_t> contextKey(const PcState &state,
-                                                int j);
+    /** One PC: its row of current context ids, and how many history
+     *  values it has seen, capped at the order. */
+    struct PcSlot
+    {
+        uint64_t pc = 0;
+        uint32_t row = kNone;
+        uint32_t filled = 0;
 
-    /**
-     * Longest order with a context match, or -1 if none (not even the
-     * order-0 table has been trained). When a match is found and
-     * @p followers is non-null it receives the matched follower set,
-     * saving the caller a second table probe.
-     */
-    int longestMatch(const PcState &state,
-                     const FcmFollowers **followers = nullptr) const;
+        uint64_t key() const { return pc; }
+        bool empty() const { return row == kNone; }
+    };
+
+    /** One follower value of a FollowerList. */
+    struct Follower
+    {
+        uint64_t value = 0;
+        uint64_t seq = 0;       ///< recency stamp for tie-breaking
+        uint32_t count = 0;     ///< 0: a free slot
+
+        uint64_t key() const { return value; }
+        bool empty() const { return count == 0; }
+    };
+
+    using FollowerList = FlatTable<Follower>;
+
+    /** One context's followers; its key is in trieIndex_. */
+    struct Context
+    {
+        uint64_t value;         ///< best follower (the only one inline)
+        uint64_t seq;           ///< the inline follower's stamp
+        uint32_t count;         ///< best follower's count; 0: untrained
+        uint32_t list;          ///< lists_ entry, or kNone: inline
+    };
+
+    /** Predict, then train, one event. Both the scalar and the
+     *  batched path run exactly this. */
+    Prediction train(uint64_t pc, uint64_t actual);
+
+    /** The context (@p parent, @p value), created if new. */
+    uint32_t child(uint32_t parent, uint64_t value);
+
+    /** The row of a PC's current context ids, order 0 first. */
+    uint32_t *row(uint32_t at) { return &ids_[at * stride()]; }
+    const uint32_t *
+    row(uint32_t at) const
+    {
+        return &ids_[at * stride()];
+    }
+    size_t stride() const { return static_cast<size_t>(config_.order) + 1; }
+
+    /** Longest order with a trained context, or -1. */
+    int longestMatch(const uint32_t *ids, int filled) const;
+
+    /** Count one occurrence of @p value after context @p id. */
+    void bump(uint32_t id, uint64_t value);
+
+    /** The -sat rescaling of a context's FollowerList. */
+    void halve(Context &context);
 
     FcmConfig config_;
-    std::unordered_map<uint64_t, PcState> table_;
+    std::vector<Context> trie_;
+    FlatTable<ContextSlot> trieIndex_;
+    std::vector<FollowerList> lists_;
+    FlatTable<PcSlot> pcs_;
+    std::vector<uint32_t> ids_;     ///< stride() context ids per PC
+    size_t contexts_ = 0;           ///< contexts with a follower
     uint64_t seq_ = 0;
 };
 

@@ -112,4 +112,10 @@ LastValuePredictor::reset()
     table_.clear();
 }
 
+void
+LastValuePredictor::collectCounters(CounterSink &sink) const
+{
+    sink.gauge("lv.entries", table_.size());
+}
+
 } // namespace vp::core

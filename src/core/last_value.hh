@@ -94,6 +94,9 @@ class LastValuePredictor : public ValuePredictor
     void reset() override;
     size_t tableEntries() const override { return table_.size(); }
 
+    /** Gauge `lv.entries`: PCs in the table. */
+    void collectCounters(CounterSink &sink) const override;
+
     void evalBatch(const uint64_t *pcs, const uint64_t *values,
                    size_t n, uint64_t *valid,
                    uint64_t *correct) override

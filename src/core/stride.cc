@@ -117,4 +117,10 @@ StridePredictor::reset()
     table_.clear();
 }
 
+void
+StridePredictor::collectCounters(CounterSink &sink) const
+{
+    sink.gauge("stride.entries", table_.size());
+}
+
 } // namespace vp::core

@@ -102,6 +102,9 @@ class StridePredictor : public ValuePredictor
     void reset() override;
     size_t tableEntries() const override { return table_.size(); }
 
+    /** Gauge `stride.entries`: PCs in the table. */
+    void collectCounters(CounterSink &sink) const override;
+
     void evalBatch(const uint64_t *pcs, const uint64_t *values,
                    size_t n, uint64_t *valid,
                    uint64_t *correct) override

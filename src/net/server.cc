@@ -247,6 +247,20 @@ VpdServer::stop()
         return;
     running_.store(false);
     closeListener();
+
+    // Epoll engine: wake the loops and join them. The accept thread
+    // may still hand a connection to a loop that has exited; it waits
+    // in the loop's pending list and is reaped below.
+    for (auto &loop : loops_) {
+        const uint64_t one = 1;
+        if (loop->eventFd >= 0)
+            (void)!::write(loop->eventFd, &one, sizeof(one));
+    }
+    for (auto &loop : loops_) {
+        if (loop->thread.joinable())
+            loop->thread.join();
+    }
+
     if (acceptThread_.joinable())
         acceptThread_.join();
     if (listenFd_ >= 0) {
@@ -279,15 +293,8 @@ VpdServer::stop()
         conns_.clear();
     }
 
-    // Epoll engine: wake the loops, join, then reap what they left.
+    // Epoll engine: reap what the loops left, adopted or not.
     for (auto &loop : loops_) {
-        const uint64_t one = 1;
-        if (loop->eventFd >= 0)
-            (void)!::write(loop->eventFd, &one, sizeof(one));
-    }
-    for (auto &loop : loops_) {
-        if (loop->thread.joinable())
-            loop->thread.join();
         for (auto &[fd, conn] : loop->conns) {
             ::close(fd);
             pool_.release(conn->decoder.takeBuffer());
@@ -296,6 +303,14 @@ VpdServer::stop()
             openConns_.fetch_sub(1, std::memory_order_relaxed);
         }
         loop->conns.clear();
+        {
+            const util::MutexLock lock(loop->pendingMutex);
+            for (const int fd : loop->pending) {
+                ::close(fd);
+                openConns_.fetch_sub(1, std::memory_order_relaxed);
+            }
+            loop->pending.clear();
+        }
         if (loop->epollFd >= 0)
             ::close(loop->epollFd);
         if (loop->eventFd >= 0)
@@ -325,6 +340,8 @@ VpdServer::runAccept()
 
         if (config_.engine == Engine::Epoll) {
             setNonBlocking(fd);
+            if (hooks_.beforeHandoff)
+                hooks_.beforeHandoff();
             Loop &loop = *loops_[nextLoop_.fetch_add(1) % loops_.size()];
             {
                 const util::MutexLock lock(loop.pendingMutex);
@@ -564,6 +581,8 @@ VpdServer::runEpollLoop(Loop &loop)
         if (stopping)
             break;
     }
+    if (hooks_.loopExited)
+        hooks_.loopExited();
 }
 
 void

@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -75,6 +76,20 @@ struct VpdServerConfig
     uint32_t maxFrameLength = kMaxFrameLength;
 };
 
+/**
+ * Test seams, run on the server's own threads; empty by default.
+ * They let a test order the accept thread against the loops.
+ */
+struct VpdServerHooks
+{
+    /** Accept thread, epoll engine: a connection was accepted and is
+     *  about to be handed to its loop. */
+    std::function<void()> beforeHandoff;
+
+    /** Epoll loop thread, as the loop returns. */
+    std::function<void()> loopExited;
+};
+
 class VpdServer
 {
   public:
@@ -88,8 +103,12 @@ class VpdServer
      *  @throws std::system_error on socket failures. */
     void start();
 
-    /** Graceful shutdown; idempotent, safe with in-flight requests. */
+    /** Graceful shutdown; idempotent, safe with in-flight requests.
+     *  Every accepted connection is closed when it returns. */
     void stop();
+
+    /** Install test seams; call before start(). */
+    void setHooks(VpdServerHooks hooks) { hooks_ = std::move(hooks); }
 
     /** The bound TCP port (after start(); 0 for Unix servers). */
     uint16_t port() const { return boundPort_; }
@@ -121,6 +140,7 @@ class VpdServer
     void closeListener();
 
     VpdServerConfig config_;
+    VpdServerHooks hooks_;
     ShardedBankMap banks_;
     BufferPool pool_;
 

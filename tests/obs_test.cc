@@ -2,19 +2,27 @@
  * @file
  * Tests for the observability subsystem (src/obs/): registry merge
  * exactness under concurrent producer threads, the log2 histogram's
- * boundary buckets, gauge high-water semantics, snapshot merging, and
- * the Chrome trace-event log's JSON shape and RAII span behavior.
+ * boundary buckets, gauge high-water semantics, snapshot merging, the
+ * Chrome trace-event log's JSON shape and RAII span behavior, and the
+ * gauges the unbounded predictors report through the registry sink.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
+#include "core/fcm.hh"
+#include "core/last_value.hh"
+#include "core/stride.hh"
 #include "obs/instrumentation.hh"
 #include "obs/registry.hh"
+#include "obs/registry_sink.hh"
 #include "obs/trace_log.hh"
 
 namespace {
@@ -162,6 +170,36 @@ TEST(Snapshot, MergeSumsCountersAndKeepsGaugeMaxima)
     EXPECT_EQ(a.histograms["h"].max, 16u);
     EXPECT_FALSE(a.empty());
     EXPECT_TRUE(obs::Snapshot{}.empty());
+}
+
+/** The gauges @p pred reports, pulled as the harness pulls them. */
+std::map<std::string, uint64_t>
+gaugesOf(const core::ValuePredictor &pred)
+{
+    obs::Registry registry;
+    obs::RegistrySink sink(registry.local());
+    pred.collectCounters(sink);
+    return registry.snapshot().gauges;
+}
+
+TEST(UnboundedGauges, DescribeTheTables)
+{
+    core::FcmPredictor fcm(core::FcmConfig{.order = 0});
+    core::LastValuePredictor lv;
+    core::StridePredictor stride;
+    for (auto [pc, value] : {std::pair{0u, 4u}, {0u, 4u}, {0u, 9u},
+                             {8u, 1u}}) {
+        fcm.update(pc, value);
+        lv.update(pc, value);
+        stride.update(pc, value);
+    }
+    const auto fcmGauges = gaugesOf(fcm);
+    EXPECT_EQ(fcmGauges.at("fcm.contexts"), 2u);        // one per PC
+    EXPECT_EQ(fcmGauges.at("fcm.contexts"), fcm.tableEntries());
+    EXPECT_EQ(fcmGauges.at("fcm.cells"), 3u);           // 4, 9 and 1
+    EXPECT_EQ(fcmGauges.at("fcm.followers.max"), 2u);   // 4 and 9
+    EXPECT_EQ(gaugesOf(lv).at("lv.entries"), 2u);
+    EXPECT_EQ(gaugesOf(stride).at("stride.entries"), 2u);
 }
 
 TEST(TraceLog, RendersLoadableTraceEventJson)

@@ -5,15 +5,23 @@
  * round trips, concurrent-client byte-identity against serial
  * replay, the STATS surface, typed protocol errors over the wire,
  * client disconnect mid-frame, graceful stop with in-flight
- * requests, and Unix-socket transport.
+ * requests (no connection left open after stop), and Unix-socket
+ * transport.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "exp/suite.hh"
 #include "net/client.hh"
@@ -52,6 +60,12 @@ serialReference(const std::vector<TraceEvent> &events,
     bank.add(exp::makePredictor(spec));
     sim::replayTrace(events, bank);
     return net::TenantStats::from(bank.member(0).stats);
+}
+
+uint64_t
+openConnections(const net::VpdServer &server)
+{
+    return server.statsSnapshot().gauges.at("net.connections_open");
 }
 
 class VpdServerTest : public ::testing::TestWithParam<net::Engine>
@@ -327,6 +341,7 @@ TEST_P(VpdServerTest, StopWithInFlightRequestsDoesNotHang)
     for (auto &worker : workers)
         worker.join();
     EXPECT_GE(completed.load(), 8u);
+    EXPECT_EQ(openConnections(server), 0u);
     // Idempotent.
     server.stop();
 }
@@ -354,6 +369,52 @@ TEST_P(VpdServerTest, UnixSocketTransport)
     EXPECT_EQ(*client.tenantStats(4), serialReference(events, "fcm3"));
     server.stop();
     std::filesystem::remove(path);
+}
+
+/**
+ * The epoll engine's stop-time race, made deterministic: the accept
+ * thread hands a connection over only after its loop has exited, so
+ * no loop ever adopts it. stop() must still close it, or its client
+ * waits in recv forever.
+ */
+TEST(VpdServerEpoll, StopClosesConnectionHandedToAnExitedLoop)
+{
+    net::VpdServerConfig config;
+    config.engine = net::Engine::Epoll;
+    net::VpdServer server(config);
+
+    std::promise<void> accepted, loopExited;
+    auto exited = loopExited.get_future();
+    net::VpdServerHooks hooks;
+    hooks.beforeHandoff = [&] {
+        accepted.set_value();
+        exited.wait();
+    };
+    hooks.loopExited = [&] { loopExited.set_value(); };
+    server.setHooks(std::move(hooks));
+    server.start();
+
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    accepted.get_future().wait();
+
+    server.stop();
+    EXPECT_EQ(openConnections(server), 0u);
+
+    // The server's end is closed: the client sees end of stream
+    // instead of blocking. A 10 s poll bounds the failure.
+    pollfd pfd{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10000), 1) << "connection left open";
+    char byte = 0;
+    EXPECT_LE(::recv(fd, &byte, 1, 0), 0);
+    ::close(fd);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, VpdServerTest,
