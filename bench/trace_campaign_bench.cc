@@ -1,51 +1,37 @@
 /**
  * @file
- * Campaign-scale trace bench, machine-readable: (1) VPT1 vs VPT2
- * on-disk size for every workload trace — the compression claim of
- * the blocked deflate format — and (2) serial vs region-parallel
- * replay of the longest trace: wall clock, speedup, and the merged
- * accuracy drift per predictor at the default warm-up window.
+ * Campaign-scale trace bench, machine-readable: VPT1 vs VPT2 on-disk
+ * size for every workload trace — the compression claim of the
+ * blocked deflate format.
  *
  * No google-benchmark dependency: plain timing loops writing one JSON
  * document, the same artifact shape CI uploads for the hot-path bench
  * (BENCH_hotpath.json). The committed repo-root BENCH_campaign.json
- * is a snapshot of this program's output.
+ * is a snapshot of an earlier version of this program's output, which
+ * also timed a since-removed region-parallel replay.
  *
  * Usage: trace_campaign_bench [--scale N] [--out FILE]
  *   --scale N    workload scale percent (default 5, the smoke scale)
  *   --out FILE   write JSON there instead of BENCH_campaign.json
  */
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exp/experiment.hh"
-#include "exp/suite.hh"
 #include "vm/machine.hh"
 #include "vm/trace_file.hh"
 #include "workloads/workload.hh"
 
 using namespace vp;
-using Clock = std::chrono::steady_clock;
 
 namespace {
-
-double
-elapsedMs(Clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                     start)
-            .count();
-}
 
 struct SizeRow
 {
@@ -85,15 +71,6 @@ measureSizes(const workloads::WorkloadInfo &info,
     return row;
 }
 
-struct RegionRow
-{
-    unsigned regions = 1;
-    unsigned jobs = 1;
-    double wallMs = 0.0;
-    double speedup = 1.0;
-    double maxDriftPp = 0.0;
-};
-
 } // namespace
 
 int
@@ -117,8 +94,6 @@ main(int argc, char **argv)
 
     // ---- format sizes, all seven workloads -------------------------
     std::vector<SizeRow> sizes;
-    std::string longest;
-    uint64_t longest_events = 0;
     for (const auto &info : workloads::allWorkloads()) {
         sizes.push_back(measureSizes(info, config));
         std::fprintf(stderr, "%-9s %8llu events  vpt1 %8zu  vpt2 %8zu "
@@ -128,63 +103,7 @@ main(int argc, char **argv)
                      sizes.back().vpt1Bytes, sizes.back().vpt2Bytes,
                      static_cast<double>(sizes.back().vpt1Bytes) /
                              sizes.back().vpt2Bytes);
-        if (sizes.back().events > longest_events) {
-            longest_events = sizes.back().events;
-            longest = sizes.back().workload;
-        }
     }
-
-    // ---- serial vs region-parallel replay of the longest trace -----
-    const std::string cache_dir =
-            (std::filesystem::temp_directory_path() /
-             "vp-campaign-bench")
-                    .string();
-    std::filesystem::remove_all(cache_dir);
-
-    exp::SuiteOptions options;
-    options.predictors = {"l", "s2", "fcm3"};
-    options.config = config;
-    options.traceReplay = true;
-    options.traceCacheDir = cache_dir;
-
-    // Warm the trace cache so every timed run below replays only.
-    const auto serial_reference = exp::runBenchmark(longest, options);
-
-    const auto serial_start = Clock::now();
-    const auto serial_run = exp::runBenchmark(longest, options);
-    const double serial_ms = elapsedMs(serial_start);
-
-    std::vector<RegionRow> region_rows;
-    for (const unsigned regions : {2u, 4u, 8u}) {
-        exp::ExperimentConfig cell_config;
-        cell_config.traceCacheDir = cache_dir;
-        cell_config.regions = regions;
-
-        exp::SuiteOptions cell = options;
-        cell.benchmarks = {longest};
-
-        exp::CellScheduler scheduler(cell_config, regions);
-        const auto start = Clock::now();
-        const auto runs = scheduler.suite(cell);
-        RegionRow row;
-        row.regions = regions;
-        row.jobs = regions;
-        row.wallMs = elapsedMs(start);
-        row.speedup = serial_ms / row.wallMs;
-        for (size_t p = 0; p < serial_run.predictors.size(); ++p) {
-            const double drift =
-                    std::fabs(serial_run.accuracyPct(p) -
-                              runs.front().accuracyPct(p));
-            row.maxDriftPp = std::max(row.maxDriftPp, drift);
-        }
-        region_rows.push_back(row);
-        std::fprintf(stderr,
-                     "regions %u: %.1f ms (serial %.1f ms, %.2fx), "
-                     "max drift %.4fpp\n",
-                     regions, row.wallMs, serial_ms, row.speedup,
-                     row.maxDriftPp);
-    }
-    std::filesystem::remove_all(cache_dir);
 
     // ---- JSON artifact ---------------------------------------------
     std::ofstream json(out);
@@ -214,28 +133,7 @@ main(int argc, char **argv)
              << static_cast<double>(row.vpt1Bytes) / row.vpt2Bytes
              << "}" << (i + 1 < sizes.size() ? "," : "") << "\n";
     }
-    json << "  ],\n  \"region_replay\": {\n"
-         << "    \"workload\": \"" << longest << "\",\n"
-         << "    \"events\": " << longest_events << ",\n"
-         << "    \"predictors\": [\"l\", \"s2\", \"fcm3\"],\n"
-         << "    \"warmup_events\": " << exp::defaultWarmupEvents
-         << ",\n"
-         << "    \"serial_wall_ms\": " << serial_ms << ",\n"
-         << "    \"note\": \"wall clock on hardware_concurrency "
-            "cores; each region also replays its warm-up window, so "
-            "speedup needs cores and traces much longer than "
-            "warmup_events\",\n"
-         << "    \"cells\": [\n";
-    for (size_t i = 0; i < region_rows.size(); ++i) {
-        const auto &row = region_rows[i];
-        json << "      {\"regions\": " << row.regions
-             << ", \"jobs\": " << row.jobs
-             << ", \"wall_ms\": " << row.wallMs
-             << ", \"speedup_vs_serial\": " << row.speedup
-             << ", \"max_drift_pp\": " << row.maxDriftPp << "}"
-             << (i + 1 < region_rows.size() ? "," : "") << "\n";
-    }
-    json << "    ]\n  }\n}\n";
+    json << "  ]\n}\n";
     std::fprintf(stderr, "wrote %s\n", out.c_str());
     return 0;
 }

@@ -196,7 +196,7 @@ cmdRecord(const std::string &workload, const std::string &path,
         std::fprintf(stderr, "cannot open %s\n", path.c_str());
         return 1;
     }
-    // VPT2: blocked, deflated, seekable. `analyze` auto-detects, so
+    // VPT2: blocked and deflated. `analyze` auto-detects, so
     // old VPT1 recordings stay readable.
     vm::Vpt2Writer writer(out);
     vm::Machine machine;

@@ -56,7 +56,7 @@ if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
     else
         echo "    perf_predictors not built (no google-benchmark); skipped"
     fi
-    echo "==> perf smoke (trace campaign: VPT2 sizes + region replay)"
+    echo "==> perf smoke (trace campaign: VPT1 vs VPT2 sizes)"
     ./build/bench/trace_campaign_bench --out build/BENCH_campaign.json
     echo "    wrote build/BENCH_campaign.json"
 

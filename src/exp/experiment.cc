@@ -26,19 +26,6 @@ normalizeCellOptions(SuiteOptions options, const ExperimentConfig &config)
         // canonicalise so off-requests always share a dedup key.
         options.improvementA = options.improvementB = 0;
     }
-    if (options.regions <= 1) {
-        // Cells adopt the run-wide region split unless the suite
-        // asked for its own.
-        options.regions = std::max(1u, config.regions);
-        options.warmupEvents = config.warmupEvents;
-    }
-    if (!regionReplayApplies(options)) {
-        // Trackers hold per-static state that does not merge across
-        // regions: those cells replay whole. Canonicalise the then-
-        // unused warm-up so equal work shares a dedup key.
-        options.regions = 1;
-        options.warmupEvents = defaultWarmupEvents;
-    }
     return options;
 }
 
@@ -58,8 +45,7 @@ cellKey(const std::string &workload, const SuiteOptions &options)
         << '\x1f' << options.overlap << '\x1f' << options.improvementA
         << '\x1f' << options.improvementB << '\x1f' << options.values
         << '\x1f' << options.traceReplay << '\x1f'
-        << options.traceCacheDir << '\x1f' << options.regions << '\x1f'
-        << options.warmupEvents << '\x1f' << options.windowEvents
+        << options.traceCacheDir << '\x1f' << options.windowEvents
         << '\x1f';
     for (const auto &spec : options.predictors)
         key << spec << '\x1e';
@@ -129,12 +115,11 @@ CellScheduler::workerLoop()
 }
 
 /**
- * Per-cell observability: the registry every task of the cell feeds
- * and the Instrumentation handle the suite layer sees. Task closures
- * hold it by shared_ptr so it outlives the submit() call; the
- * scheduler snapshots the registry into the CellRecord only after the
- * cell's last task has finished (the promise-fulfilling task), which
- * is the synchronisation Registry::snapshot requires.
+ * Per-cell observability: the registry the cell's task feeds and the
+ * Instrumentation handle the suite layer sees. The task closure holds
+ * it by shared_ptr so it outlives the submit() call; the task
+ * snapshots the registry into the CellRecord only after runBenchmark
+ * returned, which is the synchronisation Registry::snapshot requires.
  */
 struct CellScheduler::CellObs
 {
@@ -145,32 +130,6 @@ struct CellScheduler::CellObs
 
     obs::Registry registry;
     obs::Instrumentation instrumentation;
-};
-
-/**
- * Shared state of one region-split cell: W region tasks feed it, the
- * last one to finish merges the partials (or picks the first error in
- * region order, so failures are deterministic under any scheduling)
- * and fulfills the cell's promise. The merging task keeps holding the
- * assembly mutex for the merge itself, so its exclusive access is
- * lock-provable rather than inferred from "remaining hit zero".
- */
-struct CellScheduler::RegionAssembly
-{
-    std::string workload;
-    SuiteOptions options;
-    size_t cellId = 0;
-    std::shared_ptr<CellObs> obs;
-    std::chrono::steady_clock::time_point submitted;
-    std::promise<BenchmarkRun> promise;
-
-    util::Mutex mutex;
-    bool started VP_GUARDED_BY(mutex) = false;
-    std::chrono::steady_clock::time_point start VP_GUARDED_BY(mutex);
-    unsigned remaining VP_GUARDED_BY(mutex) = 0;
-    std::vector<RegionPartial> partials VP_GUARDED_BY(mutex);
-    /** slot per region */
-    std::vector<std::exception_ptr> errors VP_GUARDED_BY(mutex);
 };
 
 std::shared_future<BenchmarkRun>
@@ -190,11 +149,9 @@ CellScheduler::submit(const std::string &workload,
     CellRecord record;
     record.workload = workload;
     record.config = options.config;
-    record.regions = regionReplayApplies(options) ? options.regions : 1;
     records_.push_back(std::move(record));
 
     using Clock = std::chrono::steady_clock;
-    std::shared_future<BenchmarkRun> future;
 
     // Every cell gets its own registry; the run-wide trace log (when
     // the driver attached one) is shared. The handle is deliberately
@@ -204,152 +161,42 @@ CellScheduler::submit(const std::string &workload,
     cell_options.instrumentation = &cell_obs->instrumentation;
     const auto submitted = Clock::now();
 
-    if (regionReplayApplies(options)) {
-        auto assembly = std::make_shared<RegionAssembly>();
-        assembly->workload = workload;
-        assembly->options = cell_options;
-        assembly->cellId = cell_id;
-        assembly->obs = cell_obs;
-        assembly->submitted = submitted;
-        {
-            // No task can run before the queue_ insertions below, but
-            // the guarded members still initialise under their lock.
-            const util::MutexLock init(assembly->mutex);
-            assembly->remaining = options.regions;
-            assembly->partials.reserve(options.regions);
-            assembly->errors.resize(options.regions);
-        }
-        future = assembly->promise.get_future().share();
-        tasksTotal_ += options.regions;
-
-        for (unsigned r = 0; r < options.regions; ++r) {
-            queue_.emplace_back([this, assembly, r] {
-                {
-                    const util::MutexLock lock(assembly->mutex);
-                    if (!assembly->started) {
-                        assembly->started = true;
-                        assembly->start = Clock::now();
-                    }
-                }
-                RegionPartial partial;
-                std::exception_ptr error;
-                try {
-                    partial = runBenchmarkRegion(assembly->workload,
-                                                 assembly->options, r);
-                } catch (...) {
-                    error = std::current_exception();
-                }
-                bool last = false;
-                {
-                    const util::MutexLock lock(assembly->mutex);
-                    if (error)
-                        assembly->errors[r] = error;
-                    else
-                        assembly->partials.push_back(std::move(partial));
-                    last = --assembly->remaining == 0;
-                }
-                {
-                    const util::MutexLock lock(mutex_);
-                    ++tasksDone_;
-                }
-                if (!last)
-                    return;
-                // The last region task merges. Every producer
-                // published its partial under the assembly mutex
-                // before the remaining count hit zero; holding the
-                // (now uncontended) mutex for the merge makes the
-                // exclusive access lock-provable instead of
-                // join-ordered. Lock order is assembly->mutex before
-                // mutex_ here; no path takes them the other way
-                // around.
-                const util::MutexLock merge_lock(assembly->mutex);
-                for (auto &err : assembly->errors) {
-                    if (err) {
-                        assembly->promise.set_exception(err);
-                        return;
-                    }
-                }
-                try {
-                    BenchmarkRun run = mergeRegionPartials(
-                            assembly->workload, assembly->options,
-                            std::move(assembly->partials));
-                    const double ms =
-                            std::chrono::duration<double, std::milli>(
-                                    Clock::now() - assembly->start)
-                                    .count();
-                    const double queued =
-                            std::chrono::duration<double, std::milli>(
-                                    assembly->start - assembly->submitted)
-                                    .count();
-                    // Every region task has finished (remaining hit 0
-                    // under the assembly mutex), so the snapshot sees
-                    // quiesced shards.
-                    obs::Snapshot counters =
-                            assembly->obs->registry.snapshot();
-                    {
-                        const util::MutexLock lock(mutex_);
-                        auto &rec = records_[assembly->cellId];
-                        rec.wallMs = ms;
-                        rec.queuedMs = queued;
-                        rec.events = run.exec.predicted;
-                        rec.predictors = run.predictors;
-                        rec.counters = std::move(counters);
-                        rec.done = true;
-                        ++cellsDone_;
-                    }
-                    assembly->promise.set_value(std::move(run));
-                } catch (...) {
-                    assembly->promise.set_exception(
-                            std::current_exception());
-                }
-            });
-        }
-        available_.notify_all();
-    } else {
-        auto promise = std::make_shared<std::promise<BenchmarkRun>>();
-        future = promise->get_future().share();
-        tasksTotal_ += 1;
-        queue_.emplace_back([this, cell_id, workload, cell_options,
-                             cell_obs, submitted, promise] {
-            try {
-                const auto start = Clock::now();
-                BenchmarkRun run;
-                {
-                    auto timeline = cell_obs->instrumentation.span(
-                            "cell " + workload, "cell");
-                    run = runBenchmark(workload, cell_options);
-                }
-                const double ms =
-                        std::chrono::duration<double, std::milli>(
-                                Clock::now() - start)
-                                .count();
-                {
-                    const util::MutexLock lock(mutex_);
-                    auto &rec = records_[cell_id];
-                    rec.wallMs = ms;
-                    rec.queuedMs =
-                            std::chrono::duration<double, std::milli>(
-                                    start - submitted)
-                                    .count();
-                    rec.events = run.exec.predicted;
-                    rec.predictors = run.predictors;
-                    rec.windows = run.windows;
-                    rec.counters = cell_obs->registry.snapshot();
-                    rec.done = true;
-                    ++cellsDone_;
-                    ++tasksDone_;
-                }
-                promise->set_value(std::move(run));
-            } catch (...) {
-                {
-                    const util::MutexLock lock(mutex_);
-                    ++tasksDone_;
-                }
-                promise->set_exception(std::current_exception());
+    auto promise = std::make_shared<std::promise<BenchmarkRun>>();
+    std::shared_future<BenchmarkRun> future =
+            promise->get_future().share();
+    queue_.emplace_back([this, cell_id, workload, cell_options, cell_obs,
+                         submitted, promise] {
+        try {
+            const auto start = Clock::now();
+            BenchmarkRun run;
+            {
+                auto timeline = cell_obs->instrumentation.span(
+                        "cell " + workload, "cell");
+                run = runBenchmark(workload, cell_options);
             }
-        });
-        available_.notify_one();
-    }
+            const double ms = std::chrono::duration<double, std::milli>(
+                                      Clock::now() - start)
+                                      .count();
+            {
+                const util::MutexLock lock(mutex_);
+                auto &rec = records_[cell_id];
+                rec.wallMs = ms;
+                rec.queuedMs = std::chrono::duration<double, std::milli>(
+                                       start - submitted)
+                                       .count();
+                rec.events = run.exec.predicted;
+                rec.predictors = run.predictors;
+                rec.windows = run.windows;
+                rec.counters = cell_obs->registry.snapshot();
+                rec.done = true;
+                ++cellsDone_;
+            }
+            promise->set_value(std::move(run));
+        } catch (...) {
+            promise->set_exception(std::current_exception());
+        }
+    });
+    available_.notify_one();
 
     cells_.emplace(key, std::make_pair(cell_id, future));
     if (id)
@@ -416,8 +263,6 @@ CellScheduler::progress() const
     Progress progress;
     progress.cellsDone = cellsDone_;
     progress.cellsTotal = records_.size();
-    progress.tasksDone = tasksDone_;
-    progress.tasksTotal = tasksTotal_;
     return progress;
 }
 

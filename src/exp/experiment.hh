@@ -64,30 +64,17 @@ struct ExperimentConfig
     std::string traceCacheDir;
 
     /**
-     * Split every cell's trace into this many regions replayed as
-     * separate tasks on the worker pool, merging per-region stats
-     * (`vpexp --regions`). Cells with trackers enabled fall back to a
-     * single whole-trace task. 1 = today's serial replay,
-     * byte-identical results.
-     */
-    unsigned regions = 1;
-
-    /** Warm-up window per region (`vpexp --warmup`). */
-    uint64_t warmupEvents = defaultWarmupEvents;
-
-    /**
      * Windowed replay telemetry for every cell (`vpexp --window`):
      * close a statistics window every this many events (0 = off).
      * Part of a cell's identity — the series changes what a cell
-     * computes — and it forces whole-trace serial replay (see
-     * SuiteOptions::windowEvents).
+     * computes (see SuiteOptions::windowEvents).
      */
     uint64_t windowEvents = 0;
 
     /**
      * Run-wide timeline log (`vpexp --trace-json`); the scheduler
-     * hands it to every cell's instrumentation so cell, region,
-     * warm-up, trace-cache and report spans land on one timeline.
+     * hands it to every cell's instrumentation so cell, replay,
+     * trace-cache and report spans land on one timeline.
      * Owned by the driver, null = off. Not part of any cell's
      * identity.
      */
@@ -126,9 +113,9 @@ class CellScheduler
         double wallMs = 0.0;
 
         /**
-         * Queue wait: time between submit() and the first worker
-         * picking up one of the cell's tasks. wallMs starts at that
-         * pickup, so wallMs + queuedMs is the submit-to-done latency.
+         * Queue wait: time between submit() and a worker picking up
+         * the cell's task. wallMs starts at that pickup, so
+         * wallMs + queuedMs is the submit-to-done latency.
          */
         double queuedMs = 0.0;
         bool done = false;
@@ -137,9 +124,6 @@ class CellScheduler
          *  wallMs * 1e6 / events is the cell's ns-per-event. */
         uint64_t events = 0;
 
-        /** Regions the cell's replay was split into (1 = serial). */
-        unsigned regions = 1;
-
         /** (spec, stats) per predictor, bank order. */
         std::vector<std::pair<std::string, core::PredictionStats>>
                 predictors;
@@ -147,8 +131,7 @@ class CellScheduler
         /**
          * The cell's merged counters/gauges/histograms, snapshot
          * from its private registry after the cell finished (see
-         * obs/registry.hh for the merge rules). Region-split cells
-         * sum their per-region banks into one snapshot.
+         * obs/registry.hh for the merge rules).
          */
         obs::Snapshot counters;
 
@@ -161,8 +144,6 @@ class CellScheduler
     {
         size_t cellsDone = 0;
         size_t cellsTotal = 0;      ///< unique cells submitted so far
-        size_t tasksDone = 0;       ///< worker tasks (regions count)
-        size_t tasksTotal = 0;
     };
 
     /** @p jobs worker threads; 0 = the hardware concurrency. */
@@ -202,7 +183,6 @@ class CellScheduler
     Progress progress() const;
 
   private:
-    struct RegionAssembly;
     struct CellObs;
 
     std::shared_future<BenchmarkRun> submit(const std::string &workload,
@@ -217,11 +197,10 @@ class CellScheduler
     util::CondVar available_;
     bool stop_ VP_GUARDED_BY(mutex_) = false;
     /**
-     * Unit of worker execution. A serial cell is one task fulfilling
-     * its promise directly; a region-split cell enqueues one task per
-     * region and the last region to finish merges and fulfills — no
-     * task ever blocks on another task, so any worker count
-     * (including 1) drains the queue without deadlock.
+     * Unit of worker execution: one task per unique cell, fulfilling
+     * the cell's promise directly. No task ever blocks on another
+     * task, so any worker count (including 1) drains the queue
+     * without deadlock.
      */
     std::deque<std::packaged_task<void()>> queue_ VP_GUARDED_BY(mutex_);
     std::map<std::string,
@@ -230,8 +209,6 @@ class CellScheduler
     std::vector<CellRecord> records_ VP_GUARDED_BY(mutex_);
     size_t requested_ VP_GUARDED_BY(mutex_) = 0;
     size_t cellsDone_ VP_GUARDED_BY(mutex_) = 0;
-    size_t tasksDone_ VP_GUARDED_BY(mutex_) = 0;
-    size_t tasksTotal_ VP_GUARDED_BY(mutex_) = 0;
     std::vector<std::thread> threads_;      ///< ctor/dtor only
 };
 

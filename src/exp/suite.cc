@@ -150,8 +150,7 @@ recordTrace(const isa::Program &prog, const fs::path &base)
                         "cannot write trace cache file: " +
                         vpt_tmp.string());
             }
-            // VPT2: blocked + deflated + seekable, which is what the
-            // region replay path needs; readers auto-detect, so a
+            // VPT2: blocked + deflated; readers auto-detect, so a
             // shared cache dir holding old VPT1 recordings still
             // replays fine.
             vm::Vpt2Writer writer(out);
@@ -249,7 +248,6 @@ collectTraceIo(const vm::TraceCursor &cursor, obs::Instrumentation *obs)
     obs::add(obs, "trace.io.raw_bytes", io.rawBytes);
     obs::add(obs, "trace.io.enc_bytes", io.encBytes);
     obs::add(obs, "trace.io.deflated_blocks", io.deflatedBlocks);
-    obs::add(obs, "trace.io.seeks", io.seeks);
 }
 
 /** Pull every bank member's internal counters into the registry. */
@@ -312,134 +310,6 @@ replayedOutcome(const isa::Program &prog, const std::string &name,
 
 } // anonymous namespace
 
-std::vector<TraceRegion>
-planTraceRegions(uint64_t events, unsigned regions)
-{
-    if (regions == 0)
-        regions = 1;
-    std::vector<TraceRegion> plan(regions);
-    const uint64_t base = events / regions;
-    const uint64_t rem = events % regions;
-    uint64_t begin = 0;
-    for (unsigned r = 0; r < regions; ++r) {
-        const uint64_t size = base + (r < rem ? 1 : 0);
-        plan[r] = TraceRegion{begin, begin + size};
-        begin += size;
-    }
-    return plan;
-}
-
-bool
-regionReplayApplies(const SuiteOptions &options)
-{
-    // Windowed telemetry also forces the serial whole-trace path:
-    // windows are positions in the global event stream, which the
-    // per-region statistics merge does not preserve.
-    return options.traceReplay && options.regions > 1 &&
-           options.overlap == 0 &&
-           options.improvementA == options.improvementB &&
-           !options.values && options.windowEvents == 0;
-}
-
-RegionPartial
-runBenchmarkRegion(const std::string &name, const SuiteOptions &options,
-                   unsigned region)
-{
-    if (!options.traceReplay) {
-        throw std::invalid_argument(
-                "runBenchmarkRegion requires traceReplay");
-    }
-    if (region >= std::max(1u, options.regions))
-        throw std::invalid_argument("region index out of range");
-
-    const auto &info = workloads::findWorkload(name);
-    const auto prog = info.build(options.config);
-
-    vm::ExecStats stats;
-    const fs::path base =
-            ensureTraceRecorded(prog, name, options, stats);
-    const fs::path vpt = base.string() + ".vpt";
-
-    sim::PredictorBank bank;
-    for (const auto &spec : options.predictors)
-        bank.add(makePredictor(spec));
-
-    RegionPartial partial;
-    partial.region = region;
-    obs::Instrumentation *obs = options.instrumentation;
-    std::ifstream in = openCachedTrace(vpt);
-    try {
-        const auto cursor = vm::openTrace(in);
-        const auto plan = planTraceRegions(cursor->eventCount(),
-                                           options.regions);
-        const TraceRegion &r = plan.at(region);
-        if (r.begin < r.end) {
-            auto span = obs::span(obs,
-                                  "region " + name + " #" +
-                                          std::to_string(region),
-                                  "region");
-            vm::TraceRegionReader reader(*cursor, r.begin, r.end,
-                                         options.warmupEvents);
-            partial.events = sim::replayTraceRegion(reader, bank, obs);
-            span.arg("events", std::to_string(partial.events));
-        }
-        collectTraceIo(*cursor, obs);
-    } catch (const vm::TraceFileError &error) {
-        throw std::runtime_error("corrupt trace cache file " +
-                                 vpt.string() + ": " + error.what());
-    }
-    // Each region task trains its own fresh bank, so the per-cell
-    // registry accumulates the *sum* of the region banks' counters
-    // (same-name accumulation — the registry's documented semantics).
-    collectBankCounters(bank, obs);
-
-    partial.stats.reserve(bank.size());
-    for (size_t i = 0; i < bank.size(); ++i)
-        partial.stats.push_back(bank.member(i).stats);
-    return partial;
-}
-
-BenchmarkRun
-mergeRegionPartials(const std::string &name, const SuiteOptions &options,
-                    std::vector<RegionPartial> partials)
-{
-    const unsigned regions = std::max(1u, options.regions);
-    if (partials.size() != regions) {
-        throw std::invalid_argument(
-                "mergeRegionPartials: wrong partial count");
-    }
-    std::sort(partials.begin(), partials.end(),
-              [](const RegionPartial &a, const RegionPartial &b) {
-                  return a.region < b.region;
-              });
-    for (unsigned r = 0; r < regions; ++r) {
-        if (partials[r].region != r ||
-            partials[r].stats.size() != options.predictors.size()) {
-            throw std::invalid_argument(
-                    "mergeRegionPartials: inconsistent partials");
-        }
-    }
-
-    const auto &info = workloads::findWorkload(name);
-    const auto prog = info.build(options.config);
-
-    BenchmarkRun run;
-    run.name = name;
-    ensureTraceRecorded(prog, name, options, run.exec);
-    run.staticPredicted = prog.countPredictedStatic();
-    for (int c = 0; c < isa::numCategories; ++c) {
-        run.staticByCategory[c] =
-                prog.countPredictedStatic(static_cast<isa::Category>(c));
-    }
-    for (size_t i = 0; i < options.predictors.size(); ++i) {
-        core::PredictionStats merged;
-        for (const auto &partial : partials)
-            merged.merge(partial.stats[i]);
-        run.predictors.emplace_back(options.predictors[i], merged);
-    }
-    return run;
-}
-
 BenchmarkRun
 runBenchmark(const std::string &name, const SuiteOptions &options)
 {
@@ -447,17 +317,6 @@ runBenchmark(const std::string &name, const SuiteOptions &options)
         throw std::invalid_argument(
                 "windowed telemetry requires trace replay");
     }
-    if (regionReplayApplies(options)) {
-        // The region path replayed serially — this is the reference
-        // semantics the CellScheduler's parallel fan-out reproduces
-        // exactly (stats merge is associative over regions).
-        std::vector<RegionPartial> partials;
-        partials.reserve(options.regions);
-        for (unsigned r = 0; r < options.regions; ++r)
-            partials.push_back(runBenchmarkRegion(name, options, r));
-        return mergeRegionPartials(name, options, std::move(partials));
-    }
-
     const auto &info = workloads::findWorkload(name);
     const auto prog = info.build(options.config);
 

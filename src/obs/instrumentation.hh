@@ -15,9 +15,8 @@
  *  - a Registry for the cell's counters/gauges/histograms (required);
  *  - an optional run-wide TraceLog for timeline spans.
  *
- * Region tasks of one cell run on different worker threads and share
- * the cell's handle concurrently; the registry's per-thread shards
- * make that safe without atomics.
+ * Threads that share one handle concurrently (runSuite workers) are
+ * safe without atomics: the registry shards per thread.
  */
 
 #ifndef VP_OBS_INSTRUMENTATION_HH

@@ -4,8 +4,8 @@
  * bridge the harness uses to pull a predictor bank's internal
  * counters (ValuePredictor::collectCounters) into a cell's registry.
  *
- * Header-only and trivially cheap — collection happens once per cell
- * or region task, never per event. The sink writes to one Shard, so
+ * Header-only and trivially cheap — collection happens once per cell,
+ * never per event. The sink writes to one Shard, so
  * construct it with registry->local() on the thread doing the
  * collection (the Shard threading contract).
  */

@@ -22,10 +22,6 @@
 #include "vm/machine.hh"
 #include "vm/trace.hh"
 
-namespace vp::vm {
-class TraceRegionReader;
-} // namespace vp::vm
-
 namespace vp::obs {
 class Instrumentation;
 } // namespace vp::obs
@@ -98,16 +94,6 @@ class PredictorBank : public vm::TraceSink
     /** Enable unique-value profiling (Figure 10). */
     void trackValues();
 
-    /**
-     * Warm-up mode: events still run the full evaluation protocol
-     * (predict + update, so tables, recency stamps and confidence
-     * counters train exactly as live), but statistics and trackers are
-     * not fed. Region-parallel replay uses this for the window before
-     * a region so mid-trace regions start from trained tables.
-     */
-    void setWarmup(bool warmup) { warmup_ = warmup; }
-    bool warmup() const { return warmup_; }
-
     void onValue(const vm::TraceEvent &event) override;
 
     /**
@@ -146,7 +132,6 @@ class PredictorBank : public vm::TraceSink
 
   private:
     std::vector<EvaluatedPredictor> members_;
-    bool warmup_ = false;
     std::unique_ptr<core::OverlapTracker> overlap_;
     std::optional<core::ImprovementTracker> improvement_;
     size_t improveA_ = 0, improveB_ = 0;
@@ -243,20 +228,6 @@ uint64_t replayTrace(vm::TraceBatchSource &source, PredictorBank &bank,
 
 /** Uninstrumented streaming replay (the pre-telemetry signature). */
 uint64_t replayTrace(vm::TraceBatchSource &source, PredictorBank &bank);
-
-/**
- * Replay one region of a recorded trace: warm-up spans train the bank
- * with statistics gated off (PredictorBank::setWarmup), region spans
- * count. Returns the number of region (non-warm-up) events replayed;
- * the bank is left with warm-up off.
- *
- * With @p obs, the warm-up window and the region body each get a
- * timeline span ("warmup" / "region", annotated with their event
- * counts) plus the same batch counters as replayTrace; null is off.
- */
-uint64_t replayTraceRegion(vm::TraceRegionReader &region,
-                           PredictorBank &bank,
-                           obs::Instrumentation *obs = nullptr);
 
 /**
  * Batched replay of an in-memory trace: zero-copy spans of @p batch

@@ -182,20 +182,6 @@ traceFileZlibAvailable()
 
 // --------------------------------------------------------- TraceCursor
 
-void
-TraceCursor::seekToEvent(uint64_t target)
-{
-    if (target < position()) {
-        throw TraceFileError(
-                "cannot seek backward in a non-indexed trace");
-    }
-    TraceEvent scratch{};
-    while (position() < target) {
-        if (!next(scratch))
-            throw TraceFileError("seek past end of trace");
-    }
-}
-
 uint64_t
 TraceCursor::replay(TraceSink &sink)
 {
@@ -445,9 +431,9 @@ Vpt2Reader::readHeader()
 
 /**
  * Seekable stream: jump to the trailer, validate the byte accounting
- * of index and trailer against the file size, load the index, and
- * return to the first block. Returns false (sequential mode) when the
- * stream cannot seek.
+ * of index and trailer against the file size, check every index entry,
+ * and return to the first block. Returns false (sequential mode) when
+ * the stream cannot seek.
  */
 bool
 Vpt2Reader::loadIndex()
@@ -481,34 +467,30 @@ Vpt2Reader::loadIndex()
     in_.seekg(static_cast<std::istream::off_type>(index_offset));
     const uint64_t blocks = readU64(in_, "VPT2 index");
     // The count is untrusted until it reproduces the file size
-    // exactly — this is what bounds the allocation below.
+    // exactly — this is what bounds the loop below.
     if (index_offset + 8 + blocks * indexEntryBytes + trailerBytes !=
         file_size) {
         throw TraceFileError("VPT2 index does not match file size");
     }
 
-    index_.reserve(blocks);
     uint64_t events = 0;
     uint64_t min_offset = headerBytes;
     for (uint64_t b = 0; b < blocks; ++b) {
-        IndexEntry entry;
-        entry.offset = readU64(in_, "VPT2 index");
-        entry.firstEvent = readU64(in_, "VPT2 index");
-        entry.events = readU32(in_, "VPT2 index");
+        const uint64_t offset = readU64(in_, "VPT2 index");
+        const uint64_t first_event = readU64(in_, "VPT2 index");
+        const uint32_t block_events = readU32(in_, "VPT2 index");
         // Payload sizes live in the block headers, not the index, so
         // only a lower bound on each offset can be checked here: past
         // the previous block's header plus a non-empty payload. Exact
         // sizes are validated when a block is opened.
-        if ((b == 0 ? entry.offset != headerBytes
-                    : entry.offset < min_offset) ||
-            entry.firstEvent != events || entry.events == 0) {
+        if ((b == 0 ? offset != headerBytes : offset < min_offset) ||
+            first_event != events || block_events == 0) {
             throw TraceFileError("corrupt VPT2 index entry");
         }
-        if (entry.offset + blockHeaderBytes > index_offset - 4)
+        if (offset + blockHeaderBytes > index_offset - 4)
             throw TraceFileError("VPT2 index entry out of range");
-        events += entry.events;
-        min_offset = entry.offset + blockHeaderBytes + 1;
-        index_.push_back(entry);
+        events += block_events;
+        min_offset = offset + blockHeaderBytes + 1;
     }
     if (events != total)
         throw TraceFileError("VPT2 index events disagree with trailer");
@@ -667,12 +649,6 @@ Vpt2Reader::expectEnd()
         throw TraceFileError("trailing bytes after the VPT2 trailer");
 }
 
-size_t
-Vpt2Reader::blockCount() const
-{
-    return indexed_ ? index_.size() : static_cast<size_t>(blocksSeen_);
-}
-
 TraceIoStats
 Vpt2Reader::ioStats() const
 {
@@ -681,50 +657,7 @@ Vpt2Reader::ioStats() const
     stats.rawBytes = ioRawBytes_;
     stats.encBytes = ioEncBytes_;
     stats.deflatedBlocks = ioDeflatedBlocks_;
-    stats.seeks = ioSeeks_;
     return stats;
-}
-
-void
-Vpt2Reader::seekToEvent(uint64_t target)
-{
-    if (!indexed_) {
-        TraceCursor::seekToEvent(target);
-        return;
-    }
-    if (target > total_)
-        throw TraceFileError("seek past end of trace");
-    if (target == total_) {
-        // Position exactly at the end: no events remain.
-        blockRemaining_ = 0;
-        p_ = end_ = nullptr;
-        ended_ = true;
-        pos_ = target;
-        return;
-    }
-
-    // Last block whose firstEvent <= target.
-    const auto it = std::upper_bound(
-            index_.begin(), index_.end(), target,
-            [](uint64_t t, const IndexEntry &e) {
-                return t < e.firstEvent;
-            });
-    const IndexEntry &entry = *(it - 1);
-
-    in_.clear();
-    in_.seekg(static_cast<std::istream::off_type>(entry.offset));
-    if (!in_)
-        throw TraceFileError("VPT2 seek failed");
-    ++ioSeeks_;
-    ended_ = false;
-    blockRemaining_ = 0;
-    pos_ = entry.firstEvent;
-    if (!openBlock() || blockRemaining_ != entry.events)
-        throw TraceFileError("VPT2 block disagrees with index");
-
-    TraceEvent scratch{};
-    while (pos_ < target)
-        decodeEvent(scratch);
 }
 
 std::unique_ptr<TraceCursor>
@@ -739,41 +672,6 @@ openTrace(std::istream &in)
     if (std::memcmp(header, magic2, 4) == 0)
         return std::make_unique<Vpt2Reader>(in, MagicConsumed{});
     throw TraceFileError("not a trace file (unknown magic)");
-}
-
-// -------------------------------------------------- TraceRegionReader
-
-TraceRegionReader::TraceRegionReader(TraceCursor &reader, uint64_t begin,
-                                     uint64_t end, uint64_t warmupEvents,
-                                     size_t batch)
-    : reader_(reader), begin_(begin), end_(end),
-      block_(batch == 0 ? 1 : batch)
-{
-    if (begin_ > end_)
-        throw TraceFileError("trace region begin past its end");
-    const uint64_t total = reader_.eventCount();
-    if (end_ > total)
-        throw TraceFileError("trace region past end of trace");
-    warmupBegin_ = begin_ - std::min(warmupEvents, begin_);
-    reader_.seekToEvent(warmupBegin_);
-}
-
-TraceSpan
-TraceRegionReader::nextBatch()
-{
-    const uint64_t pos = reader_.position();
-    if (pos >= end_)
-        return TraceSpan();
-    // Never straddle the warm-up/region boundary: the consumer flips
-    // its stats gating per span, not per event.
-    const uint64_t limit = pos < begin_ ? begin_ : end_;
-    const size_t want = static_cast<size_t>(
-            std::min<uint64_t>(block_.size(), limit - pos));
-    lastWarmup_ = pos < begin_;
-    const size_t got = reader_.readBatch(block_.data(), want);
-    if (got == 0)
-        throw TraceFileError("trace region shorter than promised");
-    return TraceSpan(block_.data(), got);
 }
 
 // ------------------------------------------------------- conveniences

@@ -14,24 +14,23 @@
  *            u8  tag  = (opcode)
  *            varint pc-delta (zig-zag)  | varint value (raw LEB128)
  *
- * VPT2 — blocked, compressed, seekable; the campaign format written
- * by the suite trace cache (see README "Trace files"):
+ * VPT2 — blocked, compressed; the campaign format written by the
+ * suite trace cache (see README "Trace files"):
  *
  *   header:  magic "VPT2" | u32 flags | u64 reserved
  *   blocks:  u32 events (>0) | u32 rawBytes | u32 encBytes
  *            | u8 codec (0 raw, 1 zlib deflate) | encBytes payload
  *            — each block is self-contained: the pc-delta chain
- *            restarts (lastPc = 0) at every block boundary, so a
- *            reader can start decoding at any block.
+ *            restarts (lastPc = 0) at every block boundary.
  *   endmark: u32 0 (a real block never holds zero events)
  *   index:   u64 blockCount
  *            | per block: u64 fileOffset | u64 firstEvent | u32 events
  *   trailer: u64 indexOffset | u64 totalEvents | magic "VP2X"
  *
  * The writer never seeks (counts live in the trailer), so VPT2 can be
- * written to a pipe; a reader on a seekable stream loads the index
- * from the trailer and can seekToEvent() any position by binary
- * search, which is what region-parallel replay is built on.
+ * written to a pipe. A reader on a seekable stream validates the index
+ * and trailer against the file size before the first block; one on a
+ * non-seekable stream verifies them when it reaches them.
  *
  * PC deltas and LEB128 exploit trace locality; typical traces shrink
  * to a few bytes per event, and the per-block deflate pass shrinks
@@ -100,16 +99,16 @@ class TraceWriter : public TraceSink
 };
 
 /**
- * Streaming VPT2 trace writer: fixed-size self-contained blocks, an
- * event-index footer, optional per-block deflate. Never seeks, so
+ * Streaming VPT2 trace writer: fixed-size self-contained blocks, a
+ * block-index footer, optional per-block deflate. Never seeks, so
  * any ostream (including a pipe) works as the sink.
  */
 class Vpt2Writer : public TraceSink
 {
   public:
     /**
-     * @param blockEvents events per block — the seek granularity; the
-     *        default matches the replay batch size.
+     * @param blockEvents events per block; the default matches the
+     *        replay batch size.
      * @param compress deflate blocks when zlib is available and the
      *        deflated form is smaller (blocks record their own codec,
      *        so mixed files are fine).
@@ -121,7 +120,7 @@ class Vpt2Writer : public TraceSink
 
     /**
      * Flush the final partial block, then write the end marker, the
-     * seek index and the trailer. Must be called once.
+     * block index and the trailer. Must be called once.
      * @throws TraceFileError when the sink rejects the writes.
      */
     void finish();
@@ -164,7 +163,6 @@ struct TraceIoStats
     uint64_t rawBytes = 0;          ///< decoded payload bytes
     uint64_t encBytes = 0;          ///< on-disk payload bytes
     uint64_t deflatedBlocks = 0;    ///< blocksRead that were deflated
-    uint64_t seeks = 0;             ///< index-backed stream repositions
 };
 
 /**
@@ -183,9 +181,6 @@ class TraceCursor
      * until the cursor reaches the end of the trace.
      */
     virtual uint64_t eventCount() const = 0;
-
-    /** Global index of the next event next() would return. */
-    virtual uint64_t position() const = 0;
 
     /**
      * Read the next event.
@@ -208,16 +203,6 @@ class TraceCursor
             ++n;
         return n;
     }
-
-    /**
-     * Position the cursor so the next event returned is global index
-     * @p target. The base implementation can only skip forward (it
-     * decodes and discards); Vpt2Reader overrides it with an index
-     * seek that also goes backward.
-     *
-     * @throws TraceFileError when the position is unreachable.
-     */
-    virtual void seekToEvent(uint64_t target);
 
     /**
      * Verify the stream ends exactly where the format says it should:
@@ -257,7 +242,6 @@ class TraceReader : public TraceCursor
     TraceReader(std::istream &in, MagicConsumed);
 
     uint64_t eventCount() const override { return count_; }
-    uint64_t position() const override { return seen_; }
     bool next(TraceEvent &event) override;
     size_t readBatch(TraceEvent *out, size_t max) override;
     void expectEnd() override;
@@ -272,11 +256,10 @@ class TraceReader : public TraceCursor
 };
 
 /**
- * VPT2 trace reader. On a seekable stream the seek index is loaded
- * from the trailer up front (validated against the file size), making
- * seekToEvent() an O(log blocks) operation; on a non-seekable stream
- * the cursor degrades to sequential streaming and verifies the index
- * and trailer when it reaches them.
+ * VPT2 trace reader. On a seekable stream the index and trailer are
+ * validated against the file size up front, so the event count is
+ * known before the first block; on a non-seekable stream the cursor
+ * verifies the index and trailer when it reaches them.
  */
 class Vpt2Reader : public TraceCursor
 {
@@ -285,29 +268,17 @@ class Vpt2Reader : public TraceCursor
     Vpt2Reader(std::istream &in, MagicConsumed);
 
     uint64_t eventCount() const override { return total_; }
-    uint64_t position() const override { return pos_; }
     bool next(TraceEvent &event) override;
     void expectEnd() override;
 
-    /** True when the seek index is loaded (seekable stream). */
+    /** True when the index and trailer were validated up front
+     *  (seekable stream). */
     bool indexed() const { return indexed_; }
-    size_t blockCount() const;
 
-    /** Index-backed random access; falls back to a forward skip on
-     *  non-seekable streams. */
-    void seekToEvent(uint64_t target) override;
-
-    /** Blocks decoded, payload bytes, deflated-block and seek counts. */
+    /** Blocks decoded, payload bytes and deflated-block counts. */
     TraceIoStats ioStats() const override;
 
   private:
-    struct IndexEntry
-    {
-        uint64_t offset;
-        uint64_t firstEvent;
-        uint32_t events;
-    };
-
     void readHeader();
     bool loadIndex();
     bool openBlock();
@@ -320,12 +291,10 @@ class Vpt2Reader : public TraceCursor
     uint64_t total_ = 0;        ///< trailer count (0 until known)
     uint64_t pos_ = 0;          ///< global index of the next event
     uint64_t lastPc_ = 0;       ///< restarts per block
-    std::vector<IndexEntry> index_;
     uint64_t blocksSeen_ = 0;
     uint64_t ioRawBytes_ = 0;
     uint64_t ioEncBytes_ = 0;
     uint64_t ioDeflatedBlocks_ = 0;
-    uint64_t ioSeeks_ = 0;
 
     std::string enc_;           ///< encoded (possibly deflated) block
     std::string rawBuf_;        ///< decoded block payload
@@ -362,47 +331,6 @@ class ReaderBatchSource : public TraceBatchSource
 
   private:
     TraceCursor &reader_;
-    std::vector<TraceEvent> block_;
-};
-
-/**
- * Batch source over one region of a recorded trace, with a warm-up
- * window: events [begin - warmup, begin) are served first with
- * lastSpanWarmup() == true (train predictor tables, keep them out of
- * the statistics), then [begin, end) with it false. A span never
- * straddles the warm-up/region boundary.
- *
- * Built on TraceCursor::seekToEvent, so a VPT2 cursor starts decoding
- * at the enclosing block while a VPT1 cursor skips forward serially.
- */
-class TraceRegionReader : public TraceBatchSource
-{
-  public:
-    /**
-     * @param warmupEvents how many events before @p begin to replay
-     *        as warm-up (clamped to the available prefix).
-     * @throws TraceFileError when [begin, end) is not a region of the
-     *         trace.
-     */
-    TraceRegionReader(TraceCursor &reader, uint64_t begin, uint64_t end,
-                      uint64_t warmupEvents, size_t batch = 4096);
-
-    TraceSpan nextBatch() override;
-
-    /** True while the span returned by the last nextBatch() call was
-     *  warm-up. */
-    bool lastSpanWarmup() const { return lastWarmup_; }
-
-    uint64_t warmupBegin() const { return warmupBegin_; }
-    uint64_t begin() const { return begin_; }
-    uint64_t end() const { return end_; }
-
-  private:
-    TraceCursor &reader_;
-    uint64_t begin_;
-    uint64_t end_;
-    uint64_t warmupBegin_;
-    bool lastWarmup_ = false;
     std::vector<TraceEvent> block_;
 };
 

@@ -238,18 +238,18 @@ TEST(TraceLog, NullLogYieldsInertSpans)
 
 TEST(TraceLog, MoveAssignClosesTheCurrentSpanFirst)
 {
-    // The warmup -> region transition in replayTraceRegion reassigns
-    // the live span; the assignment must record the old one.
+    // Reassigning a live span (one phase handing over to the next)
+    // must record the old one.
     obs::TraceLog log;
     {
-        auto span = obs::TraceLog::span(&log, "warmup", "replay");
-        span = obs::TraceLog::span(&log, "region", "replay");
-        EXPECT_EQ(log.eventCount(), 1u) << "warmup closed by assignment";
+        auto span = obs::TraceLog::span(&log, "first", "replay");
+        span = obs::TraceLog::span(&log, "second", "replay");
+        EXPECT_EQ(log.eventCount(), 1u) << "first closed by assignment";
     }
     EXPECT_EQ(log.eventCount(), 2u);
     const std::string json = log.render();
-    EXPECT_NE(json.find("\"warmup\""), std::string::npos);
-    EXPECT_NE(json.find("\"region\""), std::string::npos);
+    EXPECT_NE(json.find("\"first\""), std::string::npos);
+    EXPECT_NE(json.find("\"second\""), std::string::npos);
 }
 
 TEST(Instrumentation, NullHandleHelpersAreNoOps)

@@ -641,41 +641,6 @@ TEST(Vpt2, OpenTraceAutoDetectsBothFormats)
     EXPECT_THROW(vm::openTrace(junk), vm::TraceFileError);
 }
 
-TEST(Vpt2, SeeksToEveryBlockBoundaryAndArbitraryTargets)
-{
-    const auto events = sampleEvents(1000);
-    const size_t block = 64;
-    const auto data = serializeVpt2(events, block);
-    std::stringstream buf(data, std::ios::in | std::ios::binary);
-    vm::Vpt2Reader reader(buf);
-    ASSERT_TRUE(reader.indexed());
-    EXPECT_EQ(reader.blockCount(), (events.size() + block - 1) / block);
-
-    TraceEvent event{};
-    // Every block boundary, in a deliberately non-monotonic order
-    // (backward seeks must work on an indexed reader).
-    for (size_t b = reader.blockCount(); b-- > 0;) {
-        const uint64_t target = b * block;
-        reader.seekToEvent(target);
-        EXPECT_EQ(reader.position(), target);
-        ASSERT_TRUE(reader.next(event));
-        EXPECT_EQ(event.pc, events[target].pc);
-        EXPECT_EQ(event.value, events[target].value);
-    }
-    // Arbitrary mid-block targets.
-    for (uint64_t target = 0; target < events.size(); target += 37) {
-        reader.seekToEvent(target);
-        ASSERT_TRUE(reader.next(event));
-        EXPECT_EQ(event.pc, events[target].pc) << target;
-        EXPECT_EQ(event.value, events[target].value) << target;
-    }
-    // Seek to the exact end: no events remain.
-    reader.seekToEvent(events.size());
-    EXPECT_FALSE(reader.next(event));
-    EXPECT_THROW(reader.seekToEvent(events.size() + 1),
-                 vm::TraceFileError);
-}
-
 TEST(Vpt2, StreamsSequentiallyWithoutSeeking)
 {
     const auto events = sampleEvents(300);

@@ -5,8 +5,8 @@
  * round trips, concurrent-client byte-identity against serial
  * replay, the STATS surface, typed protocol errors over the wire,
  * client disconnect mid-frame, graceful stop with in-flight
- * requests (no connection left open after stop), and Unix-socket
- * transport.
+ * requests (no connection left open after stop), start/stop churn
+ * with clients dropping mid-stream, and Unix-socket transport.
  */
 
 #include <gtest/gtest.h>
@@ -344,6 +344,67 @@ TEST_P(VpdServerTest, StopWithInFlightRequestsDoesNotHang)
     EXPECT_EQ(openConnections(server), 0u);
     // Idempotent.
     server.stop();
+}
+
+/**
+ * Lifecycle churn: repeated start/stop cycles. In each, clients
+ * connect, complete one BATCH frame and then vanish halfway through
+ * the next one; one more client still holds its half frame when
+ * stop() runs. Every stop() must leave no connection open, and the
+ * held client must find its connection closed rather than block. A
+ * hang is bounded by the per-case ctest TIMEOUT (tests/CMakeLists.txt),
+ * and scripts/ci.sh runs the case under TSan.
+ */
+TEST_P(VpdServerTest, StartStopChurnWithClientsDroppingMidStream)
+{
+    constexpr int kCycles = 20;
+    constexpr unsigned kClients = 3;
+    const auto events = sampleStream(256, 21);
+    const vm::TraceSpan span(events.data(), events.size());
+    // A frame header promising far more payload than ever follows.
+    std::vector<uint8_t> half;
+    net::putU32(half, 4096);
+    net::putU8(half, static_cast<uint8_t>(net::Op::Batch));
+    net::putU64(half, 1);
+
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+        net::VpdServer server(baseConfig());
+        server.start();
+
+        std::vector<std::thread> clients;
+        for (unsigned c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+                try {
+                    auto client =
+                            net::VpdClient::connectTcp(server.port());
+                    EXPECT_EQ(client.batch(c, span).count,
+                              events.size());
+                    client.sendRaw(half.data(), half.size());
+                    client.close();
+                } catch (const std::exception &error) {
+                    ADD_FAILURE() << "client " << c << ": "
+                                  << error.what();
+                }
+            });
+        }
+        for (auto &client : clients)
+            client.join();
+
+        auto held = net::VpdClient::connectTcp(server.port());
+        EXPECT_EQ(held.batch(kClients, span).count, events.size());
+        held.sendRaw(half.data(), half.size());
+
+        server.stop();
+        EXPECT_EQ(openConnections(server), 0u) << "cycle " << cycle;
+
+        bool closed = false;
+        try {
+            closed = !held.readFrame().has_value();
+        } catch (const std::exception &) {
+            closed = true;      // a reset instead of a FIN: closed too
+        }
+        EXPECT_TRUE(closed) << "cycle " << cycle;
+    }
 }
 
 TEST_P(VpdServerTest, UnixSocketTransport)

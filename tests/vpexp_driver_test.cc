@@ -20,10 +20,12 @@
 #include "exp/experiment.hh"
 #include "exp/spec.hh"
 #include "exp/vpexp.hh"
+#include "scratch_dir.hh"
 
 namespace {
 
 using namespace vp;
+using test::ScratchDir;
 namespace fs = std::filesystem;
 
 int
@@ -43,32 +45,6 @@ runDriver(const std::vector<std::string> &args, std::string *out = nullptr)
         *out = captured;
     return rc;
 }
-
-/** A per-test scratch directory under the system temp dir. */
-class ScratchDir
-{
-  public:
-    ScratchDir()
-    {
-        std::string templ =
-                (fs::temp_directory_path() / "vpexp-test-XXXXXX")
-                        .string();
-        if (::mkdtemp(templ.data()) == nullptr)
-            throw std::runtime_error("mkdtemp failed");
-        path_ = templ;
-    }
-
-    ~ScratchDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const fs::path &path() const { return path_; }
-
-  private:
-    fs::path path_;
-};
 
 std::string
 slurp(const fs::path &path)
@@ -129,13 +105,10 @@ TEST(VpexpCli, UsageErrorsExitTwo)
     EXPECT_EQ(runDriver({"table1", "--jobs", "-2"}), 2);
     EXPECT_EQ(runDriver({"table1", "--bogus-flag"}), 2);
     EXPECT_EQ(runDriver({"--jobs"}), 2);               // missing value
-    EXPECT_EQ(runDriver({"table1", "--regions", "banana"}), 2);
-    EXPECT_EQ(runDriver({"table1", "--regions", "0"}), 2);
-    EXPECT_EQ(runDriver({"table1", "--regions", "2x"}), 2);
-    EXPECT_EQ(runDriver({"--regions"}), 2);            // missing value
-    EXPECT_EQ(runDriver({"table1", "--warmup", "soon"}), 2);
-    EXPECT_EQ(runDriver({"table1", "--warmup", "-1"}), 2);
-    EXPECT_EQ(runDriver({"--warmup"}), 2);             // missing value
+    // Whole-trace serial replay is the only replay path: the old
+    // region-split flags are unknown options now, whatever the value.
+    for (const char *flag : {"--regions", "--warmup"})
+        EXPECT_EQ(runDriver({"table1", flag, "2"}), 2) << flag;
     EXPECT_EQ(runDriver({"table1", "--window", "never"}), 2);
     EXPECT_EQ(runDriver({"table1", "--window", "0"}), 2);
     EXPECT_EQ(runDriver({"table1", "--window", "-4"}), 2);
@@ -186,10 +159,13 @@ TEST(VpexpCli, JsonFormatPrintsMachineReadableResults)
                         &out),
               0);
     EXPECT_EQ(out.rfind('{', 0), 0u) << "JSON must start the output";
-    EXPECT_NE(out.find("\"schema\": \"vpexp-results-v1\""),
+    EXPECT_NE(out.find("\"schema\": \"vpexp-results-v2\""),
               std::string::npos);
     EXPECT_NE(out.find("\"name\": \"table1\""), std::string::npos);
     EXPECT_NE(out.find("\"name\": \"figure2\""), std::string::npos);
+    // v2 dropped the region-replay fields, run-wide and per cell.
+    EXPECT_EQ(out.find("\"regions\""), std::string::npos);
+    EXPECT_EQ(out.find("\"warmupEvents\""), std::string::npos);
     // No run summary in pure-json mode (report text and titles
     // legitimately appear *inside* the JSON strings).
     EXPECT_EQ(out.find("vpexp: "), std::string::npos);
@@ -216,7 +192,7 @@ TEST(VpexpCli, OutDirectoryGetsTextCsvAndResultsJson)
     EXPECT_EQ(csv.rfind("sequence,", 0), 0u)
             << "CSV starts with the header row";
     const auto json = slurp(scratch.path() / "BENCH_results.json");
-    EXPECT_NE(json.find("\"schema\": \"vpexp-results-v1\""),
+    EXPECT_NE(json.find("\"schema\": \"vpexp-results-v2\""),
               std::string::npos);
 }
 
@@ -246,65 +222,6 @@ TEST(VpexpCli, DryRunSmokesASuiteExperimentQuickly)
     EXPECT_NE(json.find("\"spec\": \"fcm3\""), std::string::npos);
     EXPECT_NE(json.find("\"coverage\": "), std::string::npos);
     EXPECT_NE(json.find("\"profitAtCost4\": "), std::string::npos);
-}
-
-TEST(VpexpCli, RegionFlagsReachTheResultsJson)
-{
-    const ScratchDir scratch;
-    EXPECT_EQ(runDriver({"figure3", "--dry-run", "--regions", "4",
-                         "--warmup", "4096", "--out",
-                         scratch.path().string(), "--format", "json"}),
-              0);
-    const auto json = slurp(scratch.path() / "BENCH_results.json");
-    EXPECT_NE(json.find("\"regions\": 4"), std::string::npos);
-    EXPECT_NE(json.find("\"warmupEvents\": 4096"), std::string::npos);
-}
-
-TEST(VpexpCli, RegionRunMatchesSerialRun)
-{
-    // The driver's region fan-out must not change the numbers: the
-    // same experiment with --regions 1 and --regions 3 (full-prefix
-    // warm-up) emits identical per-cell statistics.
-    const ScratchDir serial_dir, region_dir;
-    EXPECT_EQ(runDriver({"figure3", "--dry-run", "--out",
-                         serial_dir.path().string(), "--format",
-                         "json"}),
-              0);
-    EXPECT_EQ(runDriver({"figure3", "--dry-run", "--regions", "3",
-                         "--warmup", "99999999", "--out",
-                         region_dir.path().string(), "--format",
-                         "json"}),
-              0);
-    auto strip = [](std::string text) {
-        // Drop the volatile fields (wall clock, the region count and
-        // warm-up themselves); everything left must match exactly.
-        for (const std::string_view key :
-             {"\"wallMs\":", "\"queuedMs\":", "\"nsPerEvent\":",
-              "\"regions\":", "\"warmupEvents\":"}) {
-            for (size_t at = text.find(key); at != std::string::npos;
-                 at = text.find(key, at)) {
-                const size_t end = text.find_first_of(",}\n", at);
-                text.erase(at, end - at);
-            }
-        }
-        // The counters block is telemetry about *how* the cell ran
-        // (warm-up replays, trace I/O, cache hits), which region
-        // fan-out legitimately changes; erase the balanced object.
-        const std::string_view key = "\"counters\": {";
-        for (size_t at = text.find(key); at != std::string::npos;
-             at = text.find(key, at)) {
-            size_t end = at + key.size();
-            int depth = 1;
-            while (end < text.size() && depth > 0) {
-                depth += text[end] == '{' ? 1 : text[end] == '}' ? -1 : 0;
-                ++end;
-            }
-            text.erase(at, end - at);
-        }
-        return text;
-    };
-    EXPECT_EQ(strip(slurp(serial_dir.path() / "BENCH_results.json")),
-              strip(slurp(region_dir.path() / "BENCH_results.json")));
 }
 
 TEST(VpexpCli, ResultsJsonCarriesPerCellCounters)
@@ -348,8 +265,11 @@ TEST(VpexpCli, TraceJsonWritesALoadableTimeline)
 {
     const ScratchDir scratch;
     const auto trace_path = scratch.path() / "timeline.json";
+    // A private trace cache, so the recording spans appear even when
+    // an earlier case in this process already recorded these traces.
     EXPECT_EQ(runDriver({"figure5", "--dry-run", "--trace-json",
-                         trace_path.string()}),
+                         trace_path.string(), "--trace-cache",
+                         (scratch.path() / "traces").string()}),
               0);
     ASSERT_TRUE(fs::exists(trace_path));
     const auto json = slurp(trace_path);
