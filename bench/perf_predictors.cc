@@ -9,6 +9,7 @@
  */
 
 #include <chrono>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -22,7 +23,9 @@
 #include "exp/suite.hh"
 #include "sim/driver.hh"
 #include "synth/sequences.hh"
+#include "vm/machine.hh"
 #include "vm/trace.hh"
+#include "workloads/workload.hh"
 
 using namespace vp;
 using namespace vp::core;
@@ -268,16 +271,44 @@ replayStreamLarge()
 }
 
 /**
+ * The seven workload traces at scale 5, back to back: real programs'
+ * value locality, including the value-diverse PCs (Figure 10) whose
+ * contexts collect many followers — the regime synthetic streams with
+ * a handful of values per PC never reach.
+ */
+const std::vector<vm::TraceEvent> &
+replayStreamReal()
+{
+    static const std::vector<vm::TraceEvent> cached = [] {
+        workloads::WorkloadConfig config;
+        config.scale = 5;
+        std::vector<vm::TraceEvent> events;
+        for (const auto &info : workloads::allWorkloads()) {
+            vm::RecordingSink sink;
+            vm::Machine machine;
+            machine.setSink(&sink);
+            if (!machine.run(info.build(config)).ok())
+                throw std::runtime_error("workload failed: " + info.name);
+            events.insert(events.end(), sink.events.begin(),
+                          sink.events.end());
+        }
+        return events;
+    }();
+    return cached;
+}
+
+using StreamFn = const std::vector<vm::TraceEvent> &(*)();
+
+/**
  * Manual timing: the replay itself is the measured quantity;
- * constructing the bank (for the 1M-entry geometries that is tens of
- * MB of table allocation) and tearing it down are not.
+ * constructing the bank and tearing it down are not.
  */
 void
 runReplay(benchmark::State &state, const char *spec, bool batched,
-          bool large)
+          StreamFn stream)
 {
     using Clock = std::chrono::steady_clock;
-    const auto &events = large ? replayStreamLarge() : replayStream();
+    const auto &events = stream();
     for (auto _ : state) {
         sim::PredictorBank bank;
         bank.add(vp::exp::makePredictor(spec));
@@ -300,15 +331,17 @@ runReplay(benchmark::State &state, const char *spec, bool batched,
 }
 
 void
-BM_ReplayScalar(benchmark::State &state, const char *spec, bool large)
+BM_ReplayScalar(benchmark::State &state, const char *spec,
+                StreamFn stream)
 {
-    runReplay(state, spec, false, large);
+    runReplay(state, spec, false, stream);
 }
 
 void
-BM_ReplayBatched(benchmark::State &state, const char *spec, bool large)
+BM_ReplayBatched(benchmark::State &state, const char *spec,
+                 StreamFn stream)
 {
-    runReplay(state, spec, true, large);
+    runReplay(state, spec, true, stream);
 }
 
 /** The 1M-entry budgets of the acceptance bar: lv/stride spend the
@@ -319,6 +352,10 @@ constexpr const char *kBoundedStride = "s2@1048576x4";
 constexpr const char *kBoundedFcm = "fcm3@262144/786432x4";
 constexpr const char *kBoundedHybrid =
         "hybrid(s2@131072x4,fcm3@131072/655360x4;ch@131072x4)";
+
+/** The capacity sweep's largest fcm3 point, at its x16 geometry
+ *  (exp::boundedSpecFor). */
+constexpr const char *kSweepFcm = "fcm3@262144/786432x16";
 
 /** Table growth: unique-context footprint on a non-repeating stream. */
 void
@@ -347,22 +384,33 @@ BENCHMARK(BM_FcmManyPc);
 BENCHMARK(BM_BoundedFcmManyPc);
 BENCHMARK(BM_FcmTableGrowth)->Unit(benchmark::kMillisecond);
 
-#define VP_REPLAY_PAIR(name, spec, large)                              \
-    BENCHMARK_CAPTURE(BM_ReplayScalar, name, spec, large)              \
+#define VP_REPLAY_PAIR(name, spec, stream)                             \
+    BENCHMARK_CAPTURE(BM_ReplayScalar, name, spec, stream)             \
             ->Unit(benchmark::kMillisecond)                            \
             ->UseManualTime();                                         \
-    BENCHMARK_CAPTURE(BM_ReplayBatched, name, spec, large)             \
+    BENCHMARK_CAPTURE(BM_ReplayBatched, name, spec, stream)            \
             ->Unit(benchmark::kMillisecond)                            \
             ->UseManualTime()
 
-VP_REPLAY_PAIR(l, "l", false);
-VP_REPLAY_PAIR(s2, "s2", false);
-VP_REPLAY_PAIR(fcm3, "fcm3", false);
-VP_REPLAY_PAIR(hybrid, "hybrid", false);
-VP_REPLAY_PAIR(l_1M, kBoundedLv, true);
-VP_REPLAY_PAIR(s2_1M, kBoundedStride, true);
-VP_REPLAY_PAIR(fcm3_1M, kBoundedFcm, true);
-VP_REPLAY_PAIR(hybrid_1M, kBoundedHybrid, true);
+VP_REPLAY_PAIR(l, "l", replayStream);
+VP_REPLAY_PAIR(s2, "s2", replayStream);
+VP_REPLAY_PAIR(fcm3, "fcm3", replayStream);
+VP_REPLAY_PAIR(hybrid, "hybrid", replayStream);
+VP_REPLAY_PAIR(l_1M, kBoundedLv, replayStreamLarge);
+VP_REPLAY_PAIR(s2_1M, kBoundedStride, replayStreamLarge);
+VP_REPLAY_PAIR(fcm3_1M, kBoundedFcm, replayStreamLarge);
+VP_REPLAY_PAIR(hybrid_1M, kBoundedHybrid, replayStreamLarge);
+
+// The same pairs over real workload traces, plus the sweep geometry.
+VP_REPLAY_PAIR(l_real, "l", replayStreamReal);
+VP_REPLAY_PAIR(s2_real, "s2", replayStreamReal);
+VP_REPLAY_PAIR(fcm3_real, "fcm3", replayStreamReal);
+VP_REPLAY_PAIR(hybrid_real, "hybrid", replayStreamReal);
+VP_REPLAY_PAIR(l_1M_real, kBoundedLv, replayStreamReal);
+VP_REPLAY_PAIR(s2_1M_real, kBoundedStride, replayStreamReal);
+VP_REPLAY_PAIR(fcm3_1M_real, kBoundedFcm, replayStreamReal);
+VP_REPLAY_PAIR(hybrid_1M_real, kBoundedHybrid, replayStreamReal);
+VP_REPLAY_PAIR(fcm3_sweep_real, kSweepFcm, replayStreamReal);
 
 #undef VP_REPLAY_PAIR
 

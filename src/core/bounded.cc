@@ -52,6 +52,7 @@ emitTableCounters(const BoundedTableTelemetry &telemetry,
 {
     sink.gauge(prefix + "capacity", telemetry.capacity);
     sink.gauge(prefix + "occupancy", telemetry.live);
+    sink.gauge(prefix + "reserved_bytes", telemetry.reservedBytes);
     sink.counter(prefix + "evictions", telemetry.evictions);
     sink.counter(prefix + "aliased_peeks", telemetry.aliasedPeeks);
     sink.counter(prefix + "aliased_touches", telemetry.aliasedTouches);

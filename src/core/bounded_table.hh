@@ -38,9 +38,10 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <new>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
-#include <vector>
 
 #include "core/hugepage.hh"
 
@@ -68,6 +69,10 @@ struct BoundedTableTelemetry
 
     size_t capacity = 0;
     size_t live = 0;                    ///< occupied entries
+    /** Address space the budget reserves: capacity x slot bytes
+     *  (key, stamp where the policy keeps one, valid flag, entry).
+     *  Pages are committed only as a replay first writes them. */
+    size_t reservedBytes = 0;
     uint64_t evictions = 0;
     uint64_t aliasedPeeks = 0;
     uint64_t aliasedTouches = 0;
@@ -115,16 +120,28 @@ struct BoundedTableConfig
  * Fixed-capacity key -> Entry map organised as sets x ways.
  *
  * The set-associative mode stores slots in a structure-of-arrays
- * layout — keys, recency stamps, validity and entry payloads in
- * parallel flat arrays — so the hot probe loop walks a dense run of
- * 8-byte keys (one cache line covers a whole set and its neighbours)
- * and the payload array is only dereferenced on a hit or a victim.
+ * layout — keys, age stamps, validity and entry payloads in parallel
+ * flat arrays — so the hot probe loop walks a dense run of 8-byte
+ * keys (a 4-way set's keys fill half a 64-byte line; the 16-way sets
+ * every capacity-sweep spec uses span two lines) and the payload
+ * array is only dereferenced on a hit or a victim.
  * prefetch() issues a software prefetch of a key's set, which batched
  * replay uses to overlap the next events' table misses with the
  * current event's work. The fully associative mode (ways == 0) keeps
  * an exact key -> slot index on the side so lookups stay O(1) even
  * with large entry counts; it exists for verification and idealised
  * sweeps, not as a hardware proposal.
+ *
+ * Memory. The arrays are reserved at construction but come from
+ * zero-filled memory that is never written then (core/hugepage.hh),
+ * so a table commits pages only as a replay first writes them — a
+ * PC-indexed table fills a few percent of a large budget. An entry
+ * object exists exactly while its slot is valid: it is constructed
+ * on the first fill of the slot, reset to Entry{} when evicted, and
+ * destroyed by clear() or the destructor (which matters for entries
+ * that own heap memory, like FcmFollowers' spilled cells). clear()
+ * hands the committed pages back, so a reset table is as fresh as a
+ * new one.
  *
  * The access protocol mirrors the predictor interface: predict() uses
  * the const @c peek() (no LRU motion, so prediction never mutates
@@ -152,11 +169,11 @@ class BoundedTable
         }
         if (config_.tagBits > 0)
             tagMask_ = (uint64_t{1} << config_.tagBits) - 1;
-        keys_.resize(config_.entries);
-        stamps_.resize(config_.entries);
-        insertStamps_.resize(config_.entries);
-        valid_.resize(config_.entries);
-        entries_.resize(config_.entries);
+        keys_ = ZeroedBuffer<uint64_t>(config_.entries);
+        if (config_.replacement != Replacement::Random)
+            stamps_ = ZeroedBuffer<uint64_t>(config_.entries);
+        valid_ = ZeroedBuffer<uint8_t>(config_.entries);
+        entries_ = ZeroedBuffer<Entry>(config_.entries);
         if (fullyAssociative()) {
             index_.reserve(config_.entries);
         } else {
@@ -164,6 +181,11 @@ class BoundedTable
             setMask_ = (sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0;
         }
     }
+
+    BoundedTable(const BoundedTable &) = delete;
+    BoundedTable &operator=(const BoundedTable &) = delete;
+
+    ~BoundedTable() { destroyLive(); }
 
     bool fullyAssociative() const { return config_.ways == 0; }
     size_t capacity() const { return config_.entries; }
@@ -190,6 +212,10 @@ class BoundedTable
         BoundedTableTelemetry t;
         t.capacity = config_.entries;
         t.live = live_;
+        t.reservedBytes = config_.entries *
+                          (sizeof(uint64_t) + sizeof(uint8_t) +
+                           sizeof(Entry) +
+                           (stamps_.empty() ? 0 : sizeof(uint64_t)));
         t.evictions = evictions_;
         t.aliasedPeeks = aliasedPeeks_;
         t.aliasedTouches = aliasedTouches_;
@@ -285,7 +311,8 @@ class BoundedTable
     touchAt(size_t slot, uint64_t key, bool *aliased = nullptr)
     {
         ++tick_;
-        stamps_[slot] = tick_;
+        if (config_.replacement == Replacement::Lru)
+            stamps_[slot] = tick_;
         if (keys_[slot] != key) {
             ++aliasedTouches_;
             keys_[slot] = key;
@@ -417,12 +444,17 @@ class BoundedTable
         ++tick_;
         const size_t s = fullyAssociative() ? touchFa(key, inserted)
                                             : touchSet(key, inserted);
-        stamps_[s] = tick_;
+        if (config_.replacement == Replacement::Lru ||
+            (inserted && config_.replacement == Replacement::Fifo))
+            stamps_[s] = tick_;
         if (inserted) {
-            entries_[s] = Entry{};
+            if (valid_[s]) {
+                entries_[s] = Entry{};
+            } else {
+                ::new (static_cast<void *>(&entries_[s])) Entry{};
+                valid_[s] = 1;
+            }
             keys_[s] = key;
-            valid_[s] = 1;
-            insertStamps_[s] = tick_;
         } else if (keys_[s] != key) {
             ++aliasedTouches_;
             keys_[s] = key;
@@ -432,15 +464,16 @@ class BoundedTable
         return entries_[s];
     }
 
-    /** Discard all entries (the budget itself is immutable). */
+    /** Discard all entries and hand their pages back (the budget
+     *  itself is immutable). */
     void
     clear()
     {
-        std::fill(keys_.begin(), keys_.end(), 0);
-        std::fill(stamps_.begin(), stamps_.end(), 0);
-        std::fill(insertStamps_.begin(), insertStamps_.end(), 0);
-        std::fill(valid_.begin(), valid_.end(), 0);
-        std::fill(entries_.begin(), entries_.end(), Entry{});
+        destroyLive();
+        keys_.zero();
+        stamps_.zero();
+        valid_.zero();
+        entries_.zero();
         index_.clear();
         live_ = 0;
         evictions_ = 0;
@@ -476,13 +509,17 @@ class BoundedTable
         ++probeDepth_[std::min(depth, BoundedTableTelemetry::maxDepth)];
     }
 
-    /** The age slot @p s's victim scan minimises for this policy. */
-    uint64_t
-    victimStamp(size_t s) const
+    /** Run the destructor of every live entry (trivially
+     *  destructible entries have nothing to run). */
+    void
+    destroyLive()
     {
-        return config_.replacement == Replacement::Fifo
-                       ? insertStamps_[s]
-                       : stamps_[s];
+        if constexpr (!std::is_trivially_destructible_v<Entry>) {
+            for (size_t s = 0; s < valid_.size(); ++s) {
+                if (valid_[s])
+                    entries_[s].~Entry();
+            }
+        }
     }
 
     /** The stored tag: the low tagBits of @p key (full key when 0). */
@@ -494,10 +531,11 @@ class BoundedTable
 
     /**
      * First way of @p key's set whose live tag matches, or -1. The
-     * 4-way layout (the default geometry everywhere) is resolved
+     * 4-way layout (BoundedTableConfig's default) is resolved
      * branchlessly — the matching way is data-dependent, so a
      * short-circuiting scan pays a mispredicted branch on nearly
-     * every probe.
+     * every probe. Other widths, including the 16-way sets of every
+     * capacity-sweep spec, take the scan.
      */
     int
     hitWay(size_t base, uint64_t key) const
@@ -562,19 +600,29 @@ class BoundedTable
             return base + static_cast<size_t>(hit);
         }
         inserted = true;
-        size_t oldest = base;
         for (size_t w = 0; w < config_.ways; ++w) {
-            const size_t s = base + w;
-            if (!valid_[s]) {
+            if (!valid_[base + w]) {
                 ++live_;
-                return s;
+                return base + w;
             }
-            if (victimStamp(s) < victimStamp(oldest))
-                oldest = s;
         }
         ++evictions_;
         if (config_.replacement == Replacement::Random)
             return base + nextRandom() % config_.ways;
+        return oldestSlot(base, config_.ways);
+    }
+
+    /** The slot of [first, first + count) with the smallest stamp:
+     *  least recently touched under LRU, least recently inserted
+     *  under FIFO. Stamps of live slots are distinct. */
+    size_t
+    oldestSlot(size_t first, size_t count) const
+    {
+        size_t oldest = first;
+        for (size_t s = first + 1; s < first + count; ++s) {
+            if (stamps_[s] < stamps_[oldest])
+                oldest = s;
+        }
         return oldest;
     }
 
@@ -593,36 +641,27 @@ class BoundedTable
             victim = live_++;
         } else {
             ++evictions_;
-            if (config_.replacement == Replacement::Random) {
-                victim = nextRandom() % config_.entries;
-            } else {
-                victim = 0;
-                for (size_t i = 1; i < config_.entries; ++i) {
-                    if (victimStamp(i) < victimStamp(victim))
-                        victim = i;
-                }
-            }
+            victim = config_.replacement == Replacement::Random
+                             ? nextRandom() % config_.entries
+                             : oldestSlot(0, config_.entries);
             index_.erase(tagOf(keys_[victim]));
         }
         index_.emplace(tagOf(key), victim);
         return victim;
     }
 
-    /** Backing store for the flat slot arrays: huge-page-backed when
-     *  large, so random probes (and the batched path's software
-     *  prefetches) don't drown in TLB misses. */
-    template <typename T>
-    using Array = std::vector<T, HugePageAllocator<T>>;
-
     BoundedTableConfig config_;
-    // Structure-of-arrays slot storage (see the class comment): the
-    // probe loop reads keys_/valid_ only; entries_ is touched on hits
-    // and victims, stamps on recency updates and victim scans.
-    Array<uint64_t> keys_;
-    Array<uint64_t> stamps_;                ///< last touch (LRU order)
-    Array<uint64_t> insertStamps_;          ///< allocation (FIFO order)
-    Array<uint8_t> valid_;
-    Array<Entry> entries_;
+    // Structure-of-arrays slot storage (see the class comment), in
+    // zero-filled memory committed on first write and huge-page-backed
+    // when large: the probe loop reads keys_/valid_ only; entries_ is
+    // touched on hits and victims, stamps on age updates and victim
+    // scans.
+    ZeroedBuffer<uint64_t> keys_;
+    // The age each policy evicts by: last touch under LRU, insertion
+    // under FIFO; Random keeps none (the array stays empty).
+    ZeroedBuffer<uint64_t> stamps_;
+    ZeroedBuffer<uint8_t> valid_;
+    ZeroedBuffer<Entry> entries_;       // live iff valid_ (see above)
     std::unordered_map<uint64_t, size_t> index_;    // fa: tag -> slot
     size_t sets_ = 0;                               // set-assoc mode
     size_t setMask_ = 0;                            // sets_ - 1 if pow2

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "exp/confidence.hh"
@@ -43,7 +44,8 @@ const char *const usageText =
         "                 N events into each cell's windows series\n"
         "                 (JSON + windows.csv)\n"
         "  --stats        print the merged instrumentation counters of\n"
-        "                 every cell after the experiment tables\n"
+        "                 every cell after the experiment tables, and\n"
+        "                 the process's peak resident memory\n"
         "  --progress     live cell completion line on stderr\n"
         "                 (only when stderr is a TTY)\n"
         "  --trace-json FILE\n"
@@ -461,6 +463,24 @@ printStatsTables(const std::vector<CellScheduler::CellRecord> &records)
 }
 
 /**
+ * `--stats`: the process's peak resident set, read once after the
+ * campaign. Table bloat and leaks show here without a profiler.
+ */
+void
+printPeakRss()
+{
+    rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) != 0)
+        return;
+#if defined(__APPLE__)
+    const double mb = static_cast<double>(usage.ru_maxrss) / (1 << 20);
+#else
+    const double mb = static_cast<double>(usage.ru_maxrss) / 1024;
+#endif
+    std::printf("peak RSS: %.1f MB\n\n", mb);
+}
+
+/**
  * `--progress`: a live completion line on stderr, refreshed a few
  * times a second from CellScheduler::progress() by a tiny poller
  * thread. Only active when stderr is a terminal; clear() erases the
@@ -668,8 +688,10 @@ vpexpMain(int argc, const char *const *argv)
                                     .count();
     meter.stop();
 
-    if (options.stats)
+    if (options.stats) {
         printStatsTables(scheduler.records());
+        printPeakRss();
+    }
 
     if (print_tables) {
         std::printf("vpexp: %zu experiment%s, %zu unique cell%s "

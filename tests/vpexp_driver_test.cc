@@ -292,6 +292,23 @@ TEST(VpexpCli, StatsFlagPrintsTheCounterTables)
     EXPECT_NE(out.find("instrumentation counters"), std::string::npos);
     EXPECT_NE(out.find("replay.events"), std::string::npos);
     EXPECT_NE(out.find("replay.batch_fill"), std::string::npos);
+    EXPECT_NE(out.find("peak RSS: "), std::string::npos);
+}
+
+TEST(VpexpCli, StatsReportBoundedTableReservations)
+{
+    // Gauges keep the maximum over a bank: l@1048576x16 reserves
+    // 2^20 slots of key, LRU stamp, valid flag and a 32-byte entry.
+    std::string out;
+    EXPECT_EQ(runDriver({"capacity", "--dry-run", "--stats"}, &out), 0);
+    const auto row = out.find("lv.reserved_bytes (max)");
+    ASSERT_NE(row, std::string::npos);
+    const auto line = out.substr(row, out.find('\n', row) - row);
+    EXPECT_NE(line.find(std::to_string((8 + 8 + 1 + 32) << 20)),
+              std::string::npos)
+            << line;
+    EXPECT_NE(out.find("fcm.vpt.reserved_bytes (max)"),
+              std::string::npos);
 }
 
 } // anonymous namespace
