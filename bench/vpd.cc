@@ -3,14 +3,13 @@
  * `vpd` — the prediction server binary.
  *
  * Serves the vpd wire protocol (src/net/protocol.hh) against a
- * ShardedBankMap of per-(tenant, pc-group) predictor banks.
+ * ShardedBankMap of per-(tenant, pc-group) predictor banks, one
+ * thread per connection.
  *
  * Usage: vpd [options]
  *   --spec S            predictor spec per bank (default fcm3@1024/4096x4)
  *   --stripes N         lock stripes (default 64, rounded to pow2)
  *   --pc-group-bits B   pc bits per bank (default 64 = 1 bank/tenant)
- *   --engine E          thread | epoll (default thread)
- *   --loops N           epoll event loops (default 1)
  *   --port P            TCP port on 127.0.0.1 (default 0 = ephemeral)
  *   --unix PATH         listen on a Unix socket instead of TCP
  *   --stats HOST:PORT   connect to a running server, print its STATS
@@ -44,7 +43,6 @@ usage()
     std::fprintf(
             stderr,
             "usage: vpd [--spec S] [--stripes N] [--pc-group-bits B]\n"
-            "           [--engine thread|epoll] [--loops N]\n"
             "           [--port P | --unix PATH]\n"
             "           [--stats HOST:PORT | --stats-unix PATH]\n"
             "           [--smoke]\n");
@@ -109,18 +107,6 @@ main(int argc, char **argv)
         } else if (arg("--pc-group-bits")) {
             config.banks.pcGroupBits =
                     static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (arg("--engine")) {
-            const std::string engine = argv[++i];
-            if (engine == "thread") {
-                config.engine = net::Engine::Thread;
-            } else if (engine == "epoll") {
-                config.engine = net::Engine::Epoll;
-            } else {
-                return usage();
-            }
-        } else if (arg("--loops")) {
-            config.epollLoops =
-                    static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (arg("--port")) {
             config.port = static_cast<uint16_t>(std::atoi(argv[++i]));
         } else if (arg("--unix")) {
@@ -168,16 +154,13 @@ main(int argc, char **argv)
         if (config.unixPath.empty()) {
             std::fprintf(stderr,
                          "vpd: listening on 127.0.0.1:%u "
-                         "(engine=%s, spec=%s, stripes=%u)\n",
-                         server.port(),
-                         net::engineName(config.engine),
-                         config.banks.spec.c_str(),
+                         "(spec=%s, stripes=%u)\n",
+                         server.port(), config.banks.spec.c_str(),
                          server.banks().stripes());
         } else {
             std::fprintf(stderr,
-                         "vpd: listening on %s (engine=%s, spec=%s)\n",
+                         "vpd: listening on %s (spec=%s)\n",
                          config.unixPath.c_str(),
-                         net::engineName(config.engine),
                          config.banks.spec.c_str());
         }
 

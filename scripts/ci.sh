@@ -61,8 +61,8 @@ if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
     echo "    wrote build/BENCH_campaign.json"
 
     # vpd server loadgen: the seven workload traces replayed as
-    # concurrent loopback clients through both connection engines,
-    # with the per-tenant byte-identity check against serial replay
+    # concurrent loopback clients through the thread-per-connection
+    # server, with the per-tenant byte-identity check against serial replay
     # built in (the binary exits nonzero on any divergence).
     echo "==> perf smoke (vpd server loadgen)"
     ./build/bench/vpd_loadgen --scale 5 --clients 1,4 \
@@ -85,7 +85,8 @@ echo "==> sanitized configuration (ASan + UBSan)"
 run_config build-asan -DVP_SANITIZE=ON
 
 # ThreadSanitizer over the concurrent subsystems: the sharded bank
-# map, both vpd server engines, the frame decoder under concurrent
+# map, the vpd server's connection threads (including stop() against
+# a client that never reads), the frame decoder under concurrent
 # connections, and the obs registry shards. TSan and ASan cannot
 # share a process, so this is its own configuration; benches and
 # examples are skipped for build speed and the run is restricted to

@@ -1,6 +1,6 @@
 /**
  * @file
- * Pooled message buffers for the vpd connection loops.
+ * Pooled message buffers for the vpd connection threads.
  *
  * Every connection needs a read buffer, a frame-decoder buffer and a
  * write buffer; recycling them through a shared free list keeps the

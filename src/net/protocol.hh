@@ -326,8 +326,8 @@ ErrorReply decodeErrorReply(std::span<const uint8_t> payload);
  * stream: feed() bytes as they arrive, next() yields complete frames.
  *
  * The returned payload view points into the internal buffer and stays
- * valid until the following feed() or next() call — the connection
- * loops process each frame before asking for the next one. Malformed
+ * valid until the following feed() or next() call — connection
+ * threads process each frame before asking for the next one. Malformed
  * length prefixes throw from next(); after a throw the stream is
  * unrecoverable by design (framing is lost) and the connection must
  * close.

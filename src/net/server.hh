@@ -4,28 +4,21 @@
  *
  * Listens on loopback TCP (ephemeral port by default) or a Unix
  * socket and serves PREDICT / TRAIN / BATCH / STATS / TENANT_STATS
- * frames against a ShardedBankMap. Two interchangeable connection
- * engines, selected per server (vpd_loadgen benchmarks both):
- *
- *  - Engine::Thread — one blocking read/write thread per connection;
- *    the accept loop spawns and joins them. Simple, sees through to
- *    the kernel's scheduler, and on graceful stop() drains frames
- *    already received before closing.
- *  - Engine::Epoll — an accept thread dispatching connections
- *    round-robin onto N epoll event loops; nonblocking sockets,
- *    per-connection frame decoder and write queue with partial-write
- *    handling, eventfd wakeups for shutdown. Each connection lives on
- *    exactly one loop thread, so connection state needs no locks.
- *
- * Both engines share the frame dispatch (processFrame) and the
- * buffer pool; connection buffers are pooled across connection churn
- * so the steady state is allocation-free (see buffer_pool.hh).
+ * frames against a ShardedBankMap with one thread-per-connection
+ * engine: the accept loop spawns a blocking read/write thread per
+ * connection and reaps it once it finishes. Blocking writes give
+ * backpressure for free: a client that stops reading its replies
+ * stalls its own thread in send() instead of growing a server-side
+ * queue. Connection buffers are pooled across connection churn so
+ * the steady state is allocation-free (see buffer_pool.hh).
  *
  * Protocol errors are answered with a typed ERROR frame, counted,
  * and close the offending connection; they never take the server
- * down. stop() is idempotent and safe with in-flight requests:
- * already-received frames finish (thread engine) or the loop exits
- * between frames (epoll), and vpd_server_test pins both paths.
+ * down. stop() is idempotent and cannot hang on a client: it shuts
+ * every connection down in both directions, which wakes a thread
+ * blocked in recv() or in send() to a peer that stopped reading.
+ * Frames already received still run against the banks; only their
+ * replies are dropped. vpd_server_test pins both cases.
  *
  * The STATS surface is an obs::Registry snapshot: serve-side
  * counters are plain atomics (a live server cannot use unsynchronised
@@ -39,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -53,18 +45,9 @@
 
 namespace vp::net {
 
-enum class Engine { Thread, Epoll };
-
-const char *engineName(Engine engine);
-
 struct VpdServerConfig
 {
     ShardedBankConfig banks;
-
-    Engine engine = Engine::Thread;
-
-    /** Event loops for Engine::Epoll (>= 1). */
-    unsigned epollLoops = 1;
 
     /** TCP port on 127.0.0.1; 0 = ephemeral (see VpdServer::port). */
     uint16_t port = 0;
@@ -76,20 +59,6 @@ struct VpdServerConfig
     uint32_t maxFrameLength = kMaxFrameLength;
 };
 
-/**
- * Test seams, run on the server's own threads; empty by default.
- * They let a test order the accept thread against the loops.
- */
-struct VpdServerHooks
-{
-    /** Accept thread, epoll engine: a connection was accepted and is
-     *  about to be handed to its loop. */
-    std::function<void()> beforeHandoff;
-
-    /** Epoll loop thread, as the loop returns. */
-    std::function<void()> loopExited;
-};
-
 class VpdServer
 {
   public:
@@ -99,16 +68,17 @@ class VpdServer
     VpdServer(const VpdServer &) = delete;
     VpdServer &operator=(const VpdServer &) = delete;
 
-    /** Bind, listen and start the engine.
+    /** Bind, listen and start accepting.
      *  @throws std::system_error on socket failures. */
     void start();
 
     /** Graceful shutdown; idempotent, safe with in-flight requests.
-     *  Every accepted connection is closed when it returns. */
+     *  Shuts every connection down both ways (SHUT_RDWR), so it
+     *  returns even when a client has stopped reading: frames
+     *  already received still train the banks, but their replies
+     *  are dropped. Every accepted connection is closed when it
+     *  returns. */
     void stop();
-
-    /** Install test seams; call before start(). */
-    void setHooks(VpdServerHooks hooks) { hooks_ = std::move(hooks); }
 
     /** The bound TCP port (after start(); 0 for Unix servers). */
     uint16_t port() const { return boundPort_; }
@@ -126,11 +96,9 @@ class VpdServer
 
   private:
     struct Conn;
-    struct Loop;
 
     void runAccept();
     void runConnThread(int fd);
-    void runEpollLoop(Loop &loop);
 
     /** Dispatch one decoded frame; appends the reply to @p reply. */
     void processFrame(const FrameDecoder::Frame &frame,
@@ -140,7 +108,6 @@ class VpdServer
     void closeListener();
 
     VpdServerConfig config_;
-    VpdServerHooks hooks_;
     ShardedBankMap banks_;
     BufferPool pool_;
 
@@ -151,15 +118,10 @@ class VpdServer
 
     std::thread acceptThread_;
 
-    // Thread engine state. stop() holds connMutex_ across the
-    // shutdown + join + clear sweep, so the connection list is
-    // lock-guarded for its whole lifetime (not merely join-ordered).
+    // One entry per accepted connection until it is reaped. stop()
+    // holds connMutex_ across its shutdown + join + clear sweep.
     util::Mutex connMutex_;
     std::vector<std::unique_ptr<Conn>> conns_ VP_GUARDED_BY(connMutex_);
-
-    // Epoll engine state.
-    std::vector<std::unique_ptr<Loop>> loops_;
-    std::atomic<size_t> nextLoop_{0};
 
     // Serve-side counters (atomics: see file comment).
     std::atomic<uint64_t> acceptedConns_{0};

@@ -21,10 +21,11 @@
  *  - Functions that expect the caller to hold a lock carry
  *    VP_REQUIRES(mutex_); functions that lock on the caller's behalf
  *    carry VP_ACQUIRE/VP_RELEASE.
- *  - Thread-owned state (an epoll loop's connection map, a registry
- *    shard after local()) is deliberately unannotated, with a comment
- *    naming the owning thread — absence of an annotation plus a
- *    confinement comment is the convention for "no lock by design".
+ *  - Thread-owned state (a vpd connection thread's buffers, a
+ *    registry shard after local()) is deliberately unannotated, with
+ *    a comment naming the owning thread — absence of an annotation
+ *    plus a confinement comment is the convention for "no lock by
+ *    design".
  *
  * Off Clang every macro expands to nothing, so gcc builds (and the
  * generated code everywhere) are byte-for-byte unaffected: the

@@ -1,17 +1,20 @@
 /**
  * @file
- * End-to-end tests for the vpd server, parameterized over both
- * connection engines (thread-per-connection and epoll): request
- * round trips, concurrent-client byte-identity against serial
- * replay, the STATS surface, typed protocol errors over the wire,
- * client disconnect mid-frame, graceful stop with in-flight
- * requests (no connection left open after stop), start/stop churn
- * with clients dropping mid-stream, and Unix-socket transport.
+ * End-to-end tests for the vpd server: request round trips,
+ * concurrent-client byte-identity against serial replay, the STATS
+ * surface, typed protocol errors over the wire, client disconnect
+ * mid-frame, graceful stop with in-flight requests and with a client
+ * that never reads its replies (no connection left open after stop),
+ * start/stop churn with clients dropping mid-stream, and Unix-socket
+ * transport.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <thread>
@@ -68,7 +71,7 @@ openConnections(const net::VpdServer &server)
     return server.statsSnapshot().gauges.at("net.connections_open");
 }
 
-class VpdServerTest : public ::testing::TestWithParam<net::Engine>
+class VpdServerTest : public ::testing::Test
 {
   protected:
     net::VpdServerConfig
@@ -76,13 +79,11 @@ class VpdServerTest : public ::testing::TestWithParam<net::Engine>
     {
         net::VpdServerConfig config;
         config.banks.spec = "fcm3";
-        config.engine = GetParam();
-        config.epollLoops = 2;
         return config;
     }
 };
 
-TEST_P(VpdServerTest, RoundTrips)
+TEST_F(VpdServerTest, RoundTrips)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -113,7 +114,7 @@ TEST_P(VpdServerTest, RoundTrips)
     server.stop();
 }
 
-TEST_P(VpdServerTest, BatchMatchesSerialReplay)
+TEST_F(VpdServerTest, BatchMatchesSerialReplay)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -136,7 +137,7 @@ TEST_P(VpdServerTest, BatchMatchesSerialReplay)
     server.stop();
 }
 
-TEST_P(VpdServerTest, ConcurrentClientsByteIdentical)
+TEST_F(VpdServerTest, ConcurrentClientsByteIdentical)
 {
     // The acceptance bar: >= 4 concurrent clients, each replaying its
     // own stream as its own tenant; server-side per-tenant statistics
@@ -182,7 +183,7 @@ TEST_P(VpdServerTest, ConcurrentClientsByteIdentical)
     server.stop();
 }
 
-TEST_P(VpdServerTest, StatsSurface)
+TEST_F(VpdServerTest, StatsSurface)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -212,7 +213,7 @@ TEST_P(VpdServerTest, StatsSurface)
     server.stop();
 }
 
-TEST_P(VpdServerTest, UnknownOpcodeAnswersTypedErrorAndServerSurvives)
+TEST_F(VpdServerTest, UnknownOpcodeAnswersTypedErrorAndServerSurvives)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -284,7 +285,7 @@ TEST_P(VpdServerTest, UnknownOpcodeAnswersTypedErrorAndServerSurvives)
     server.stop();
 }
 
-TEST_P(VpdServerTest, ClientDisconnectMidFrameIsHarmless)
+TEST_F(VpdServerTest, ClientDisconnectMidFrameIsHarmless)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -308,7 +309,7 @@ TEST_P(VpdServerTest, ClientDisconnectMidFrameIsHarmless)
     server.stop();
 }
 
-TEST_P(VpdServerTest, StopWithInFlightRequestsDoesNotHang)
+TEST_F(VpdServerTest, StopWithInFlightRequestsDoesNotHang)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -355,7 +356,7 @@ TEST_P(VpdServerTest, StopWithInFlightRequestsDoesNotHang)
  * hang is bounded by the per-case ctest TIMEOUT (tests/CMakeLists.txt),
  * and scripts/ci.sh runs the case under TSan.
  */
-TEST_P(VpdServerTest, StartStopChurnWithClientsDroppingMidStream)
+TEST_F(VpdServerTest, StartStopChurnWithClientsDroppingMidStream)
 {
     constexpr int kCycles = 20;
     constexpr unsigned kClients = 3;
@@ -407,12 +408,11 @@ TEST_P(VpdServerTest, StartStopChurnWithClientsDroppingMidStream)
     }
 }
 
-TEST_P(VpdServerTest, UnixSocketTransport)
+TEST_F(VpdServerTest, UnixSocketTransport)
 {
     const std::string path =
             (std::filesystem::temp_directory_path() /
-             (std::string("vpd-test-") +
-              net::engineName(GetParam()) + ".sock"))
+             "vpd-server-test.sock")
                     .string();
     std::filesystem::remove(path);
 
@@ -433,26 +433,16 @@ TEST_P(VpdServerTest, UnixSocketTransport)
 }
 
 /**
- * The epoll engine's stop-time race, made deterministic: the accept
- * thread hands a connection over only after its loop has exited, so
- * no loop ever adopts it. stop() must still close it, or its client
- * waits in recv forever.
+ * A client that sends STATS frames and never reads a reply fills its
+ * receive buffer and then the server's send buffer, until its
+ * connection thread blocks in send(). stop() must still return:
+ * shutting down only the read side does not wake that send(). The
+ * 10 s bound turns a hang into a failure, and closing the client
+ * afterwards releases a stuck stop(), so the case ends either way.
  */
-TEST(VpdServerEpoll, StopClosesConnectionHandedToAnExitedLoop)
+TEST_F(VpdServerTest, StopWithAClientThatNeverReadsDoesNotHang)
 {
-    net::VpdServerConfig config;
-    config.engine = net::Engine::Epoll;
-    net::VpdServer server(config);
-
-    std::promise<void> accepted, loopExited;
-    auto exited = loopExited.get_future();
-    net::VpdServerHooks hooks;
-    hooks.beforeHandoff = [&] {
-        accepted.set_value();
-        exited.wait();
-    };
-    hooks.loopExited = [&] { loopExited.set_value(); };
-    server.setHooks(std::move(hooks));
+    net::VpdServer server(baseConfig());
     server.start();
 
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -464,26 +454,40 @@ TEST(VpdServerEpoll, StopClosesConnectionHandedToAnExitedLoop)
     ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof(addr)),
               0);
-    accepted.get_future().wait();
 
-    server.stop();
-    EXPECT_EQ(openConnections(server), 0u);
+    std::vector<uint8_t> frames;
+    for (int i = 0; i < 64; ++i)
+        net::encodeStats(frames);
 
-    // The server's end is closed: the client sees end of stream
-    // instead of blocking. A 10 s poll bounds the failure.
-    pollfd pfd{fd, POLLIN, 0};
-    ASSERT_EQ(::poll(&pfd, 1, 10000), 1) << "connection left open";
-    char byte = 0;
-    EXPECT_LE(::recv(fd, &byte, 1, 0), 0);
+    // Send until the socket accepts nothing more for 2 s: the server
+    // has stopped reading because its reply write is blocked. The
+    // buffer repeats one frame, so resuming a partial send at its
+    // offset keeps the stream framed.
+    using Clock = std::chrono::steady_clock;
+    const auto deadline = Clock::now() + std::chrono::seconds(60);
+    bool stalled = false;
+    size_t off = 0;
+    while (!stalled && Clock::now() < deadline) {
+        pollfd pfd{fd, POLLOUT, 0};
+        stalled = ::poll(&pfd, 1, 2000) == 0;
+        if (stalled)
+            continue;
+        const ssize_t n = ::send(fd, frames.data() + off,
+                                 frames.size() - off,
+                                 MSG_DONTWAIT | MSG_NOSIGNAL);
+        ASSERT_TRUE(n > 0 || errno == EAGAIN) << std::strerror(errno);
+        if (n > 0)
+            off = (off + static_cast<size_t>(n)) % frames.size();
+    }
+    EXPECT_TRUE(stalled) << "the server kept draining for 60 s";
+
+    auto stopped = std::async(std::launch::async, [&] { server.stop(); });
+    EXPECT_EQ(stopped.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+            << "stop() blocked on a client that never reads";
     ::close(fd);
+    stopped.get();
+    EXPECT_EQ(openConnections(server), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, VpdServerTest,
-                         ::testing::Values(net::Engine::Thread,
-                                           net::Engine::Epoll),
-                         [](const auto &info) {
-                             return std::string(
-                                     net::engineName(info.param));
-                         });
 
 } // namespace
